@@ -133,6 +133,18 @@ code=$?
 set -e
 test "$code" -eq 1
 test "$(wc -l < /tmp/tnet_ci_nbhd_trunc.err)" -eq 1
+# ...and a 200,000-deep nesting bomb the same way: the shared decoder
+# caps nesting, so there is no stack overflow (exit 134).
+head -c 200000 /dev/zero | tr '\0' '[' > /tmp/tnet_ci_deep.json
+set +e
+"$TNET" trace --input /tmp/tnet_ci_deep.json \
+    > /dev/null 2> /tmp/tnet_ci_deep.err
+code=$?
+set -e
+test "$code" -eq 1
+test "$(wc -l < /tmp/tnet_ci_deep.err)" -eq 1
+grep -q 'nested too deeply' /tmp/tnet_ci_deep.err
+rm -f /tmp/tnet_ci_deep.json /tmp/tnet_ci_deep.err
 # The export satisfies the shared tnet-trace/v1 validator.
 cargo run --release -q -p tnet-bench --offline --bin bench_miners -- \
     --validate-trace "$NBHD_TRACE"
@@ -267,11 +279,17 @@ serve_rpc 'this is not json'                                 | grep -q '"kind":"
 serve_rpc '{"op":"ping"}'                                    | grep -q '"ok":true'
 # The repeated stats query must have landed in the result cache.
 serve_rpc '{"op":"trace"}' | grep -q '"serve.cache_hits":[1-9]'
+# The trace reply is a one-line tnet-trace/v1 document: saved to a file,
+# `tnet trace` renders it like a CLI trace.
+SERVE_TRACE=/tmp/tnet_ci_serve_trace.json
+serve_rpc '{"op":"trace"}' > "$SERVE_TRACE"
 serve_rpc '{"op":"shutdown"}'                                | grep -q '"ok":true'
 exec 3<&- 3>&-
 wait "$SERVE_PID"
 grep -q 'shutdown complete' "$SERVE_LOG"
-rm -f "$SERVE_PORT_FILE" "$SERVE_LOG"
+"$TNET" trace --input "$SERVE_TRACE" > /tmp/tnet_ci_serve_trace.out
+grep -q 'serve.cache_hits' /tmp/tnet_ci_serve_trace.out
+rm -f "$SERVE_PORT_FILE" "$SERVE_LOG" "$SERVE_TRACE" /tmp/tnet_ci_serve_trace.out
 
 echo "== durability smoke: acknowledged writes survive SIGKILL"
 # A durable daemon ingests acknowledged batches and is SIGKILLed with no

@@ -28,8 +28,6 @@
 use std::process::ExitCode;
 use std::time::Instant;
 use tnet_bench::harness::{bench, Timing};
-use tnet_bench::json::Json;
-use tnet_bench::obs_json;
 use tnet_core::experiments::structural::truncated_structural_graph;
 use tnet_core::pipeline::Pipeline;
 use tnet_data::binning::BinScheme;
@@ -43,6 +41,7 @@ use tnet_graph::frozen::{FrozenStats, TxnSet};
 use tnet_graph::graph::Graph;
 use tnet_graph::rng::StdRng;
 use tnet_gspan::{mine_dfs, mine_dfs_with, GspanConfig};
+use tnet_obs::json::{self, JVal};
 use tnet_partition::single_graph::mine_single_graph;
 use tnet_partition::split::{split_graph, Strategy};
 use tnet_partition::{Granularity, TemporalOptions, WindowSpec};
@@ -139,7 +138,7 @@ fn fsg_row(
     support: usize,
     max_edges: usize,
     samples: usize,
-) -> (Json, usize) {
+) -> (JVal, usize) {
     let cfg = |cap: usize| {
         FsgConfig::default()
             .with_support(Support::Count(support))
@@ -161,47 +160,47 @@ fn fsg_row(
         out_s.patterns.len(),
         "propagated and scratch runs must mine the same pattern set"
     );
-    let row = Json::obj([
-        ("workload", Json::Str(name.into())),
-        ("wall_ms", Json::Num(t.best_ms())),
-        ("wall_ms_scratch", Json::Num(ts.best_ms())),
+    let row = JVal::obj([
+        ("workload", JVal::Str(name.into())),
+        ("wall_ms", JVal::Num(t.best_ms())),
+        ("wall_ms_scratch", JVal::Num(ts.best_ms())),
         (
             "speedup_vs_scratch",
-            Json::Num(ts.best_ms() / t.best_ms().max(1e-9)),
+            JVal::Num(ts.best_ms() / t.best_ms().max(1e-9)),
         ),
-        ("iso_tests", Json::Num(out.stats.iso_tests as f64)),
-        ("iso_tests_scratch", Json::Num(out_s.stats.iso_tests as f64)),
+        ("iso_tests", JVal::Num(out.stats.iso_tests as f64)),
+        ("iso_tests_scratch", JVal::Num(out_s.stats.iso_tests as f64)),
         (
             "embeddings_extended",
-            Json::Num(out.stats.embeddings_extended as f64),
+            JVal::Num(out.stats.embeddings_extended as f64),
         ),
         (
             "embeddings_spilled",
-            Json::Num(out.stats.embeddings_spilled as f64),
+            JVal::Num(out.stats.embeddings_spilled as f64),
         ),
         (
             "peak_candidate_bytes",
-            Json::Num(out.stats.peak_candidate_bytes as f64),
+            JVal::Num(out.stats.peak_candidate_bytes as f64),
         ),
         (
             "fingerprint_rejects",
-            Json::Num(out.stats.fingerprint_rejects as f64),
+            JVal::Num(out.stats.fingerprint_rejects as f64),
         ),
         (
             "fingerprint_rejects_scratch",
-            Json::Num(out_s.stats.fingerprint_rejects as f64),
+            JVal::Num(out_s.stats.fingerprint_rejects as f64),
         ),
         (
             "bitset_intersections",
-            Json::Num(out.stats.bitset_intersections as f64),
+            JVal::Num(out.stats.bitset_intersections as f64),
         ),
-        ("soa_bytes", Json::Num(out.stats.soa_bytes as f64)),
-        ("patterns", Json::Num(out.patterns.len() as f64)),
+        ("soa_bytes", JVal::Num(out.stats.soa_bytes as f64)),
+        ("patterns", JVal::Num(out.patterns.len() as f64)),
     ]);
     (row, out.stats.iso_tests)
 }
 
-fn gspan_row(name: &str, txns: &[Graph], support: usize, max_edges: usize, samples: usize) -> Json {
+fn gspan_row(name: &str, txns: &[Graph], support: usize, max_edges: usize, samples: usize) -> JVal {
     let cfg = |cap: usize| GspanConfig {
         min_support: Support::Count(support),
         max_edges,
@@ -223,33 +222,33 @@ fn gspan_row(name: &str, txns: &[Graph], support: usize, max_edges: usize, sampl
         out_s.patterns.len(),
         "propagated and scratch runs must mine the same pattern set"
     );
-    Json::obj([
-        ("workload", Json::Str(name.into())),
-        ("wall_ms", Json::Num(t.best_ms())),
-        ("wall_ms_scratch", Json::Num(ts.best_ms())),
+    JVal::obj([
+        ("workload", JVal::Str(name.into())),
+        ("wall_ms", JVal::Num(t.best_ms())),
+        ("wall_ms_scratch", JVal::Num(ts.best_ms())),
         (
             "speedup_vs_scratch",
-            Json::Num(ts.best_ms() / t.best_ms().max(1e-9)),
+            JVal::Num(ts.best_ms() / t.best_ms().max(1e-9)),
         ),
-        ("iso_tests", Json::Num(out.stats.iso_tests as f64)),
-        ("iso_tests_scratch", Json::Num(out_s.stats.iso_tests as f64)),
+        ("iso_tests", JVal::Num(out.stats.iso_tests as f64)),
+        ("iso_tests_scratch", JVal::Num(out_s.stats.iso_tests as f64)),
         (
             "embeddings_extended",
-            Json::Num(out.stats.embeddings_extended as f64),
+            JVal::Num(out.stats.embeddings_extended as f64),
         ),
         (
             "embeddings_spilled",
-            Json::Num(out.stats.embeddings_spilled as f64),
+            JVal::Num(out.stats.embeddings_spilled as f64),
         ),
         (
             "peak_candidate_bytes",
-            Json::Num(out.stats.peak_live_bytes as f64),
+            JVal::Num(out.stats.peak_live_bytes as f64),
         ),
-        ("patterns", Json::Num(out.patterns.len() as f64)),
+        ("patterns", JVal::Num(out.patterns.len() as f64)),
     ])
 }
 
-fn subdue_row(scale: f64, seed: u64, vertices: usize, samples: usize) -> Json {
+fn subdue_row(scale: f64, seed: u64, vertices: usize, samples: usize) -> JVal {
     let p = Pipeline::synthetic(scale, seed);
     let txns = p.transactions();
     let scheme = BinScheme::fit_width_transactions(txns).expect("binning fits");
@@ -263,23 +262,23 @@ fn subdue_row(scale: f64, seed: u64, vertices: usize, samples: usize) -> Json {
         discover(&g, &cfg).unwrap()
     });
     let out = discover(&g, &cfg).unwrap();
-    Json::obj([
-        ("workload", Json::Str(name)),
-        ("wall_ms", Json::Num(t.best_ms())),
-        ("expanded", Json::Num(out.expanded as f64)),
+    JVal::obj([
+        ("workload", JVal::Str(name)),
+        ("wall_ms", JVal::Num(t.best_ms())),
+        ("expanded", JVal::Num(out.expanded as f64)),
         (
             "embeddings_extended",
-            Json::Num(out.stats.embeddings_extended as f64),
+            JVal::Num(out.stats.embeddings_extended as f64),
         ),
         (
             "embeddings_spilled",
-            Json::Num(out.stats.embeddings_spilled as f64),
+            JVal::Num(out.stats.embeddings_spilled as f64),
         ),
         (
             "patterns_derived",
-            Json::Num(out.stats.patterns_derived as f64),
+            JVal::Num(out.stats.patterns_derived as f64),
         ),
-        ("best", Json::Num(out.best.len() as f64)),
+        ("best", JVal::Num(out.best.len() as f64)),
     ])
 }
 
@@ -316,7 +315,7 @@ fn support_count_row(
     support: usize,
     max_edges: usize,
     samples: usize,
-) -> Json {
+) -> JVal {
     let cfg = FsgConfig::default()
         .with_support(Support::Count(support))
         .with_max_edges(max_edges);
@@ -366,38 +365,38 @@ fn support_count_row(
         pattern_bytes(&out_nf),
         "fingerprint pre-filter must be output-invariant"
     );
-    Json::obj([
-        ("workload", Json::Str(name.into())),
-        ("wall_ms_frozen", Json::Num(tf.best_ms())),
-        ("wall_ms_arena", Json::Num(ta.best_ms())),
+    JVal::obj([
+        ("workload", JVal::Str(name.into())),
+        ("wall_ms_frozen", JVal::Num(tf.best_ms())),
+        ("wall_ms_arena", JVal::Num(ta.best_ms())),
         (
             "frozen_over_arena",
-            Json::Num(tf.best_ms() / ta.best_ms().max(1e-9)),
+            JVal::Num(tf.best_ms() / ta.best_ms().max(1e-9)),
         ),
-        ("wall_ms_no_bitsets", Json::Num(t_nb.best_ms())),
+        ("wall_ms_no_bitsets", JVal::Num(t_nb.best_ms())),
         (
             "bitsets_off_over_on",
-            Json::Num(t_nb.best_ms() / tf.best_ms().max(1e-9)),
+            JVal::Num(t_nb.best_ms() / tf.best_ms().max(1e-9)),
         ),
-        ("wall_ms_no_fingerprints", Json::Num(t_nf.best_ms())),
+        ("wall_ms_no_fingerprints", JVal::Num(t_nf.best_ms())),
         (
             "fingerprint_off_over_on",
-            Json::Num(t_nf.best_ms() / tf.best_ms().max(1e-9)),
+            JVal::Num(t_nf.best_ms() / tf.best_ms().max(1e-9)),
         ),
         (
             "bitset_intersections",
-            Json::Num(out_f.stats.bitset_intersections as f64),
+            JVal::Num(out_f.stats.bitset_intersections as f64),
         ),
         (
             "fingerprint_rejects",
-            Json::Num(out_f.stats.fingerprint_rejects as f64),
+            JVal::Num(out_f.stats.fingerprint_rejects as f64),
         ),
-        ("soa_bytes", Json::Num(out_f.stats.soa_bytes as f64)),
-        ("freeze_ms", Json::Num(freeze_ms)),
-        ("freeze_count", Json::Num(freeze_stats.freeze_count as f64)),
-        ("csr_bytes", Json::Num(freeze_stats.csr_bytes as f64)),
-        ("adj_binary_searches", Json::Num(searches as f64)),
-        ("patterns", Json::Num(out_f.patterns.len() as f64)),
+        ("soa_bytes", JVal::Num(out_f.stats.soa_bytes as f64)),
+        ("freeze_ms", JVal::Num(freeze_ms)),
+        ("freeze_count", JVal::Num(freeze_stats.freeze_count as f64)),
+        ("csr_bytes", JVal::Num(freeze_stats.csr_bytes as f64)),
+        ("adj_binary_searches", JVal::Num(searches as f64)),
+        ("patterns", JVal::Num(out_f.patterns.len() as f64)),
     ])
 }
 
@@ -410,7 +409,7 @@ fn support_count_row(
 /// per repetition and per transaction, the neighborhood miner walks one
 /// shared CSR. The scaled row (`scale_factor` ≥ 10, full runs only) is
 /// the regime where per-transaction replication stops being viable.
-fn partition_vs_neighborhood_row(name: &str, scale: f64, seed: u64, samples: usize) -> Json {
+fn partition_vs_neighborhood_row(name: &str, scale: f64, seed: u64, samples: usize) -> JVal {
     let p = Pipeline::synthetic(scale, seed);
     let od = p.od_graph(EdgeLabeling::GrossWeight, VertexLabeling::Uniform);
     let mut g = od.graph;
@@ -464,30 +463,30 @@ fn partition_vs_neighborhood_row(name: &str, scale: f64, seed: u64, samples: usi
                 .any(|pp| tnet_graph::iso::are_isomorphic(&pp.pattern, &np.graph))
         })
         .count();
-    Json::obj([
-        ("workload", Json::Str(name.into())),
-        ("scale_factor", Json::Num(scale / 0.015)),
-        ("vertices", Json::Num(g.vertex_count() as f64)),
-        ("edges", Json::Num(g.edge_count() as f64)),
-        ("wall_ms_partition", Json::Num(tp.best_ms())),
-        ("wall_ms_neighborhood", Json::Num(tn.best_ms())),
+    JVal::obj([
+        ("workload", JVal::Str(name.into())),
+        ("scale_factor", JVal::Num(scale / 0.015)),
+        ("vertices", JVal::Num(g.vertex_count() as f64)),
+        ("edges", JVal::Num(g.edge_count() as f64)),
+        ("wall_ms_partition", JVal::Num(tp.best_ms())),
+        ("wall_ms_neighborhood", JVal::Num(tn.best_ms())),
         (
             "partition_over_neighborhood",
-            Json::Num(tp.best_ms() / tn.best_ms().max(1e-9)),
+            JVal::Num(tp.best_ms() / tn.best_ms().max(1e-9)),
         ),
-        ("patterns_partition", Json::Num(part.len() as f64)),
-        ("patterns_neighborhood", Json::Num(nb.patterns.len() as f64)),
+        ("patterns_partition", JVal::Num(part.len() as f64)),
+        ("patterns_neighborhood", JVal::Num(nb.patterns.len() as f64)),
         (
             "patterns_neighborhood_only",
-            Json::Num(neighborhood_only as f64),
+            JVal::Num(neighborhood_only as f64),
         ),
-        ("nbhd_centers", Json::Num(nb.stats.centers as f64)),
-        ("nbhd_iso_tests", Json::Num(nb.stats.iso_tests as f64)),
+        ("nbhd_centers", JVal::Num(nb.stats.centers as f64)),
+        ("nbhd_iso_tests", JVal::Num(nb.stats.iso_tests as f64)),
         (
             "nbhd_fingerprint_rejects",
-            Json::Num(nb.stats.fingerprint_rejects as f64),
+            JVal::Num(nb.stats.fingerprint_rejects as f64),
         ),
-        ("nbhd_soa_bytes", Json::Num(nb.stats.soa_bytes as f64)),
+        ("nbhd_soa_bytes", JVal::Num(nb.stats.soa_bytes as f64)),
     ])
 }
 
@@ -504,7 +503,7 @@ fn temporal_incremental_row(
     txns: &[tnet_data::Transaction],
     spec: WindowSpec,
     samples: usize,
-) -> Json {
+) -> JVal {
     let fsg_cfg = FsgConfig::default()
         .with_support(Support::Count(4))
         .with_max_edges(4)
@@ -537,29 +536,29 @@ fn temporal_incremental_row(
         identical,
         "temporal/{name}: incremental and full window mining diverged"
     );
-    Json::obj([
-        ("granularity", Json::Str(name.into())),
-        ("windows", Json::Num(inc.windows.len() as f64)),
-        ("wall_ms_incremental", Json::Num(ti.best_ms())),
-        ("wall_ms_full", Json::Num(tf.best_ms())),
+    JVal::obj([
+        ("granularity", JVal::Str(name.into())),
+        ("windows", JVal::Num(inc.windows.len() as f64)),
+        ("wall_ms_incremental", JVal::Num(ti.best_ms())),
+        ("wall_ms_full", JVal::Num(tf.best_ms())),
         (
             "full_over_incremental",
-            Json::Num(tf.best_ms() / ti.best_ms().max(1e-9)),
+            JVal::Num(tf.best_ms() / ti.best_ms().max(1e-9)),
         ),
         (
             "incremental_windows",
-            Json::Num(inc.session.incremental_windows as f64),
+            JVal::Num(inc.session.incremental_windows as f64),
         ),
         (
             "patterns_recounted",
-            Json::Num(inc.session.patterns_recounted as f64),
+            JVal::Num(inc.session.patterns_recounted as f64),
         ),
-        ("recount_skips", Json::Num(inc.session.recount_skips as f64)),
-        ("identical", Json::Bool(identical)),
+        ("recount_skips", JVal::Num(inc.session.recount_skips as f64)),
+        ("identical", JVal::Bool(identical)),
     ])
 }
 
-fn temporal_incremental_rows(seed: u64, smoke: bool, samples: usize) -> Vec<Json> {
+fn temporal_incremental_rows(seed: u64, smoke: bool, samples: usize) -> Vec<JVal> {
     let scale = if smoke { 0.01 } else { 0.05 };
     let txns =
         tnet_data::synth::generate(&tnet_data::synth::SynthConfig::scaled(scale).with_seed(seed))
@@ -589,7 +588,7 @@ fn temporal_incremental_rows(seed: u64, smoke: bool, samples: usize) -> Vec<Json
 /// One extra, untimed pass over every miner with a live tracer and
 /// registry attached: the per-phase wall breakdown and the unified
 /// counter namespace embedded in the report as a `tnet-trace/v1` block.
-fn traced_block(default_txns: &[Graph], subdue_graph: &Graph) -> Json {
+fn traced_block(default_txns: &[Graph], subdue_graph: &Graph) -> JVal {
     let tracer = Tracer::new("bench_miners");
     let registry = MetricsRegistry::new();
     let exec = Exec::new(1).with_obs(tracer.root(), registry.clone());
@@ -616,7 +615,7 @@ fn traced_block(default_txns: &[Graph], subdue_graph: &Graph) -> Json {
     FrozenStats::snapshot()
         .since(&frozen_before)
         .publish(&mut |name, v| registry.add(name, v));
-    obs_json::trace_to_json(&tracer.snapshot(), &registry.snapshot())
+    json::trace_to_json(&tracer.snapshot(), &registry.snapshot())
 }
 
 /// Tracing off must cost nothing measurable: a million disabled-span
@@ -637,19 +636,19 @@ const DISABLED_SPAN_GATE_NS: f64 = 250.0;
 
 fn validate(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc = Json::parse(&text)?;
+    let doc = json::parse(&text, json::TRACE_MAX_DEPTH, "report")?;
     let miners = doc.get("miners").ok_or("report has no 'miners' object")?;
     for miner in ["fsg", "gspan", "subdue"] {
         match miners.get(miner) {
-            Some(Json::Arr(rows)) if !rows.is_empty() => {}
+            Some(JVal::Arr(rows)) if !rows.is_empty() => {}
             _ => return Err(format!("report is missing miner '{miner}'")),
         }
     }
     let trace = doc.get("trace").ok_or("report has no 'trace' block")?;
-    obs_json::validate_trace(trace).map_err(|e| format!("trace block: {e}"))?;
+    let (_, metrics) =
+        json::decode_trace(&trace.compact()).map_err(|e| format!("trace block: {e}"))?;
     // Frozen-graph and data-layout counters must flow through the
     // unified namespace.
-    let metrics = trace.get("metrics").ok_or("trace block has no 'metrics'")?;
     for key in [
         "graph.freeze_count",
         "graph.csr_bytes",
@@ -663,16 +662,16 @@ fn validate(path: &str) -> Result<(), String> {
         "gspan.soa_bytes",
         "subdue.fingerprint_rejects",
     ] {
-        if metrics.get(key).is_none() {
+        if !metrics.contains_key(key) {
             return Err(format!("trace metrics missing '{key}'"));
         }
     }
     let sc = doc
         .get("support_count")
         .ok_or("report has no 'support_count' block")?;
-    let num = |obj: &Json, key: &str| -> Result<f64, String> {
+    let num = |obj: &JVal, key: &str| -> Result<f64, String> {
         match obj.get(key) {
-            Some(Json::Num(r)) => Ok(*r),
+            Some(JVal::Num(r)) => Ok(*r),
             _ => Err(format!("support_count has no '{key}' number")),
         }
     };
@@ -710,8 +709,8 @@ fn validate(path: &str) -> Result<(), String> {
     // centers, recorded wall), and a full (non-smoke) report must carry
     // the ≥10× scaled row.
     let pvn = match doc.get("partition_vs_neighborhood") {
-        Some(Json::Arr(rows)) if !rows.is_empty() => rows,
-        Some(Json::Arr(_)) => return Err("partition_vs_neighborhood block is empty".into()),
+        Some(JVal::Arr(rows)) if !rows.is_empty() => rows,
+        Some(JVal::Arr(_)) => return Err("partition_vs_neighborhood block is empty".into()),
         _ => return Err("report has no 'partition_vs_neighborhood' block".into()),
     };
     let mut max_scale = 0.0f64;
@@ -735,22 +734,22 @@ fn validate(path: &str) -> Result<(), String> {
         }
         max_scale = max_scale.max(num(row, "scale_factor").unwrap_or(0.0));
     }
-    let is_smoke = matches!(doc.get("smoke"), Some(Json::Bool(true)));
+    let is_smoke = matches!(doc.get("smoke"), Some(JVal::Bool(true)));
     // Incremental-session differential: every granularity row must have
     // mined byte-identical pattern sets on both paths, the sliding specs
     // must actually exercise the delta path, and on the full (non-smoke)
     // workload the incremental day run must beat full re-mining.
     let temporal = match doc.get("temporal_incremental") {
-        Some(Json::Arr(rows)) if !rows.is_empty() => rows,
-        Some(Json::Arr(_)) => return Err("temporal_incremental block is empty".into()),
+        Some(JVal::Arr(rows)) if !rows.is_empty() => rows,
+        Some(JVal::Arr(_)) => return Err("temporal_incremental block is empty".into()),
         _ => return Err("report has no 'temporal_incremental' block".into()),
     };
     for row in temporal {
         let gran = match row.get("granularity") {
-            Some(Json::Str(s)) => s.clone(),
+            Some(JVal::Str(s)) => s.clone(),
             _ => return Err("temporal_incremental row missing 'granularity'".into()),
         };
-        if !matches!(row.get("identical"), Some(Json::Bool(true))) {
+        if !matches!(row.get("identical"), Some(JVal::Bool(true))) {
             return Err(format!(
                 "temporal_incremental/{gran}: incremental and full window \
                  mining are not byte-identical"
@@ -783,11 +782,11 @@ fn validate(path: &str) -> Result<(), String> {
     // Fingerprint reject-rate sanity: every FSG row must report the
     // counter, and the dense large_txn workload (present in non-smoke
     // reports) must actually reject something from the scratch path.
-    if let Some(Json::Arr(rows)) = doc.get("miners").and_then(|m| m.get("fsg")) {
+    if let Some(JVal::Arr(rows)) = doc.get("miners").and_then(|m| m.get("fsg")) {
         for row in rows {
             let rejects = num(row, "fingerprint_rejects_scratch")
                 .map_err(|_| "fsg row missing 'fingerprint_rejects_scratch'".to_string())?;
-            let is_large = matches!(row.get("workload"), Some(Json::Str(s)) if s == "large_txn");
+            let is_large = matches!(row.get("workload"), Some(JVal::Str(s)) if s == "large_txn");
             if is_large && rejects <= 0.0 {
                 return Err("fsg/large_txn fingerprint_rejects_scratch is 0 — the \
                             fingerprint pre-filter never fires on the dense workload"
@@ -804,9 +803,8 @@ fn validate(path: &str) -> Result<(), String> {
 
 fn validate_trace_file(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc = Json::parse(&text)?;
-    obs_json::validate_trace(&doc)?;
-    println!("{path}: valid {} document", obs_json::TRACE_SCHEMA);
+    json::decode_trace(&text)?;
+    println!("{path}: valid {} document", json::TRACE_SCHEMA);
     Ok(())
 }
 
@@ -881,29 +879,29 @@ fn main() -> ExitCode {
     let trace = traced_block(&default_txns, &subdue_graph);
     let disabled_ns = disabled_span_ns_per_op();
 
-    let doc = Json::obj([
-        ("schema", Json::Str("tnet-bench-miners/v1".into())),
-        ("seed", Json::Num(opts.seed as f64)),
-        ("smoke", Json::Bool(opts.smoke)),
+    let doc = JVal::obj([
+        ("schema", JVal::Str("tnet-bench-miners/v1".into())),
+        ("seed", JVal::Num(opts.seed as f64)),
+        ("smoke", JVal::Bool(opts.smoke)),
         ("trace", trace),
         ("support_count", support_count),
-        ("partition_vs_neighborhood", Json::Arr(pvn_rows)),
-        ("temporal_incremental", Json::Arr(temporal_rows)),
-        ("disabled_span_ns_per_op", Json::Num(disabled_ns)),
+        ("partition_vs_neighborhood", JVal::Arr(pvn_rows)),
+        ("temporal_incremental", JVal::Arr(temporal_rows)),
+        ("disabled_span_ns_per_op", JVal::Num(disabled_ns)),
         (
             "miners",
-            Json::obj([
-                ("fsg", Json::Arr(fsg_rows)),
-                ("gspan", Json::Arr(gspan_rows)),
-                ("subdue", Json::Arr(subdue_rows)),
+            JVal::obj([
+                ("fsg", JVal::Arr(fsg_rows)),
+                ("gspan", JVal::Arr(gspan_rows)),
+                ("subdue", JVal::Arr(subdue_rows)),
             ]),
         ),
         (
             "baseline",
-            Json::obj([
+            JVal::obj([
                 (
                     "note",
-                    Json::Str(
+                    JVal::Str(
                         "development-host baselines, best of 3: '*_wall_ms' are scratch-VF2 \
                          numbers predating embedding propagation; '*_pre_layout_wall_ms' are \
                          propagated + frozen-CSR numbers predating the data-layout pass \
@@ -913,23 +911,23 @@ fn main() -> ExitCode {
                 ),
                 (
                     "fsg_default_wall_ms",
-                    Json::Num(BASELINE_FSG_DEFAULT_WALL_MS),
+                    JVal::Num(BASELINE_FSG_DEFAULT_WALL_MS),
                 ),
                 (
                     "fsg_default_iso_tests",
-                    Json::Num(BASELINE_FSG_DEFAULT_ISO_TESTS as f64),
+                    JVal::Num(BASELINE_FSG_DEFAULT_ISO_TESTS as f64),
                 ),
                 (
                     "fsg_large_txn_wall_ms",
-                    Json::Num(BASELINE_FSG_LARGE_TXN_WALL_MS),
+                    JVal::Num(BASELINE_FSG_LARGE_TXN_WALL_MS),
                 ),
                 (
                     "fsg_large_txn_pre_layout_wall_ms",
-                    Json::Num(BASELINE_FSG_LARGE_TXN_PRE_LAYOUT_WALL_MS),
+                    JVal::Num(BASELINE_FSG_LARGE_TXN_PRE_LAYOUT_WALL_MS),
                 ),
                 (
                     "subdue_truncated_50v_pre_layout_wall_ms",
-                    Json::Num(BASELINE_SUBDUE_50V_PRE_LAYOUT_WALL_MS),
+                    JVal::Num(BASELINE_SUBDUE_50V_PRE_LAYOUT_WALL_MS),
                 ),
             ]),
         ),

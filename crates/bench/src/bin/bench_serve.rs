@@ -31,11 +31,12 @@
 //! every acknowledged record must be recovered, with zero checksum
 //! errors.
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
-use tnet_bench::json::Json;
+use tnet_obs::json::{self, JVal};
 use tnet_obs::MetricsRegistry;
 use tnet_serve::{DurabilityConfig, FsyncPolicy, ServeConfig, WriterConfig};
 
@@ -227,7 +228,7 @@ struct RunResult {
     wall: Duration,
     p50_ns: u64,
     p99_ns: u64,
-    metrics: Vec<(String, u64)>,
+    metrics: BTreeMap<String, u64>,
 }
 
 fn run_bench(opts: &Opts, w: &Workload) -> Result<RunResult, String> {
@@ -313,14 +314,7 @@ fn run_bench(opts: &Opts, w: &Workload) -> Result<RunResult, String> {
     let (mut stream, mut reader) = connect(addr)?;
     let trace = roundtrip(&mut stream, &mut reader, r#"{"op":"trace"}"#)?;
     drop(stream);
-    let doc = Json::parse(&trace).map_err(|e| format!("bad trace reply: {e}"))?;
-    let metrics = match doc.get("metrics") {
-        Some(Json::Obj(m)) => m
-            .iter()
-            .map(|(k, v)| (k.clone(), v.as_f64().unwrap_or(0.0) as u64))
-            .collect(),
-        _ => return Err("trace reply has no metrics object".into()),
-    };
+    let (_, metrics) = json::decode_trace(&trace).map_err(|e| format!("bad trace reply: {e}"))?;
 
     handle.shutdown();
     handle.wait();
@@ -404,13 +398,8 @@ fn run_policy(
     let wall = started.elapsed();
     let trace = roundtrip(&mut stream, &mut reader, r#"{"op":"trace"}"#)?;
     drop(stream);
-    let doc = Json::parse(&trace).map_err(|e| format!("bad trace reply: {e}"))?;
-    let m = |key: &str| -> u64 {
-        doc.get("metrics")
-            .and_then(|m| m.get(key))
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0) as u64
-    };
+    let (_, metrics) = json::decode_trace(&trace).map_err(|e| format!("bad trace reply: {e}"))?;
+    let m = |key: &str| metric(&metrics, key);
     let result = PolicyResult {
         acks_per_sec: w.durability_batches as f64 / wall.as_secs_f64(),
         p50_ns: {
@@ -519,25 +508,21 @@ fn check_durability_gates(
     Ok(())
 }
 
-fn metric(metrics: &[(String, u64)], name: &str) -> u64 {
-    metrics
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| *v)
-        .unwrap_or(0)
+fn metric(metrics: &BTreeMap<String, u64>, name: &str) -> u64 {
+    metrics.get(name).copied().unwrap_or(0)
 }
 
 fn validate(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc = Json::parse(&text)?;
+    let doc = json::parse(&text, json::TRACE_MAX_DEPTH, "report")?;
     match doc.get("schema") {
-        Some(Json::Str(s)) if s == "tnet-bench-serve/v2" => {}
+        Some(JVal::Str(s)) if s == "tnet-bench-serve/v2" => {}
         other => return Err(format!("bad schema field: {other:?}")),
     }
     let num = |block: &str, key: &str| -> Result<f64, String> {
         doc.get(block)
             .and_then(|b| b.get(key))
-            .and_then(Json::as_f64)
+            .and_then(JVal::as_f64)
             .ok_or_else(|| format!("report missing number '{block}.{key}'"))
     };
     check_gates(
@@ -559,8 +544,8 @@ fn validate(path: &str) -> Result<(), String> {
             .get("durability")
             .and_then(|d| d.get(policy))
             .ok_or_else(|| format!("report missing 'durability.{policy}'"))?;
-        let p50 = block.get("p50_ns").and_then(Json::as_f64).unwrap_or(-1.0);
-        let p99 = block.get("p99_ns").and_then(Json::as_f64).unwrap_or(-1.0);
+        let p50 = block.get("p50_ns").and_then(JVal::as_f64).unwrap_or(-1.0);
+        let p99 = block.get("p99_ns").and_then(JVal::as_f64).unwrap_or(-1.0);
         if p50 < 0.0 || p99 < 0.0 || p50 > p99 {
             return Err(format!(
                 "REGRESSION — durability.{policy} latency quantiles inconsistent \
@@ -612,7 +597,7 @@ fn main() -> ExitCode {
         }
     };
     let qps = run.requests as f64 / run.wall.as_secs_f64();
-    let server_fields: Vec<(&str, Json)> = [
+    let server_fields: Vec<(&str, JVal)> = [
         ("queries", "serve.queries"),
         ("query_errors", "serve.query_errors"),
         ("connections", "serve.connections"),
@@ -627,17 +612,17 @@ fn main() -> ExitCode {
         ("server_p99_ns", "serve.query_latency.p99_ns"),
     ]
     .iter()
-    .map(|(out, key)| (*out, Json::Num(metric(&run.metrics, key) as f64)))
+    .map(|(out, key)| (*out, JVal::Num(metric(&run.metrics, key) as f64)))
     .collect();
 
     let policy_block = |p: &PolicyResult| {
-        Json::obj([
-            ("acks_per_sec", Json::Num(p.acks_per_sec)),
-            ("p50_ns", Json::Num(p.p50_ns as f64)),
-            ("p99_ns", Json::Num(p.p99_ns as f64)),
-            ("wal_records", Json::Num(p.wal_records as f64)),
-            ("wal_fsyncs", Json::Num(p.wal_fsyncs as f64)),
-            ("fsync_p99_ns", Json::Num(p.fsync_p99_ns as f64)),
+        JVal::obj([
+            ("acks_per_sec", JVal::Num(p.acks_per_sec)),
+            ("p50_ns", JVal::Num(p.p50_ns as f64)),
+            ("p99_ns", JVal::Num(p.p99_ns as f64)),
+            ("wal_records", JVal::Num(p.wal_records as f64)),
+            ("wal_fsyncs", JVal::Num(p.wal_fsyncs as f64)),
+            ("fsync_p99_ns", JVal::Num(p.fsync_p99_ns as f64)),
         ])
     };
     // Ack-latency overhead of `--fsync always` relative to `never`,
@@ -647,61 +632,61 @@ fn main() -> ExitCode {
     } else {
         0.0
     };
-    let doc = Json::obj([
-        ("schema", Json::Str("tnet-bench-serve/v2".into())),
-        ("seed", Json::Num(opts.seed as f64)),
-        ("smoke", Json::Bool(opts.smoke)),
+    let doc = JVal::obj([
+        ("schema", JVal::Str("tnet-bench-serve/v2".into())),
+        ("seed", JVal::Num(opts.seed as f64)),
+        ("smoke", JVal::Bool(opts.smoke)),
         (
             "workload",
-            Json::obj([
-                ("scale", Json::Num(w.scale)),
-                ("clients", Json::Num(w.clients as f64)),
+            JVal::obj([
+                ("scale", JVal::Num(w.scale)),
+                ("clients", JVal::Num(w.clients as f64)),
                 (
                     "requests_per_client",
-                    Json::Num(w.requests_per_client as f64),
+                    JVal::Num(w.requests_per_client as f64),
                 ),
-                ("ingest_batches", Json::Num(w.ingest_batches as f64)),
-                ("ingest_batch_size", Json::Num(w.ingest_batch_size as f64)),
+                ("ingest_batches", JVal::Num(w.ingest_batches as f64)),
+                ("ingest_batch_size", JVal::Num(w.ingest_batch_size as f64)),
                 (
                     "publish_interval_ms",
-                    Json::Num(w.publish_interval.as_millis() as f64),
+                    JVal::Num(w.publish_interval.as_millis() as f64),
                 ),
                 (
                     "read_mix",
-                    Json::Arr(READ_MIX.iter().map(|s| Json::Str(s.to_string())).collect()),
+                    JVal::Arr(READ_MIX.iter().map(|s| JVal::Str(s.to_string())).collect()),
                 ),
             ]),
         ),
         (
             "results",
-            Json::obj([
-                ("requests", Json::Num(run.requests as f64)),
-                ("wall_ms", Json::Num(run.wall.as_secs_f64() * 1e3)),
-                ("qps", Json::Num(qps)),
-                ("p50_ns", Json::Num(run.p50_ns as f64)),
-                ("p99_ns", Json::Num(run.p99_ns as f64)),
+            JVal::obj([
+                ("requests", JVal::Num(run.requests as f64)),
+                ("wall_ms", JVal::Num(run.wall.as_secs_f64() * 1e3)),
+                ("qps", JVal::Num(qps)),
+                ("p50_ns", JVal::Num(run.p50_ns as f64)),
+                ("p99_ns", JVal::Num(run.p99_ns as f64)),
             ]),
         ),
-        ("server", Json::obj(server_fields)),
+        ("server", JVal::obj(server_fields)),
         (
             "durability",
-            Json::obj([
-                ("ingest_batches", Json::Num(w.durability_batches as f64)),
+            JVal::obj([
+                ("ingest_batches", JVal::Num(w.durability_batches as f64)),
                 (
                     "ingest_batch_size",
-                    Json::Num(w.durability_batch_size as f64),
+                    JVal::Num(w.durability_batch_size as f64),
                 ),
                 ("fsync_always", policy_block(&durability.always)),
                 ("fsync_never", policy_block(&durability.never)),
-                ("overhead_p50", Json::Num(overhead_p50)),
+                ("overhead_p50", JVal::Num(overhead_p50)),
                 (
                     "acknowledged_records",
-                    Json::Num(durability.acknowledged as f64),
+                    JVal::Num(durability.acknowledged as f64),
                 ),
-                ("recovered_records", Json::Num(durability.recovered as f64)),
+                ("recovered_records", JVal::Num(durability.recovered as f64)),
                 (
                     "checksum_errors",
-                    Json::Num(durability.checksum_errors as f64),
+                    JVal::Num(durability.checksum_errors as f64),
                 ),
             ]),
         ),

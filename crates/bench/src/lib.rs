@@ -5,8 +5,6 @@
 //! process and shared.
 
 pub mod harness;
-pub mod json;
-pub mod obs_json;
 
 use std::sync::OnceLock;
 use tnet_data::model::Transaction;

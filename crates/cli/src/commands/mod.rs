@@ -17,7 +17,7 @@ use crate::error::CliError;
 use std::fs::File;
 use std::io::BufReader;
 use tnet_data::model::Transaction;
-use tnet_exec::{Exec, MetricsRegistry, Tracer};
+use tnet_exec::{Exec, MetricsRegistry, SpanNode, Tracer};
 
 /// Observability context requested by `--trace` / `--trace-json PATH`:
 /// owns the tracer and metrics registry for one command invocation and
@@ -57,25 +57,44 @@ impl ObsContext {
         &self.registry
     }
 
-    /// Folds the pool counters into the registry, prints the span tree
-    /// and counter table to stdout, and writes the `tnet-trace/v1` JSON
-    /// document when `--trace-json` was given. Call after the command's
+    /// Folds the pool counters into the registry, then prints and
+    /// exports the trace (see [`emit_trace`]). Call after the command's
     /// work (and its root timer) has finished.
     pub fn finish(&self, exec: &Exec) -> Result<(), CliError> {
         exec.counters().record_into(&self.registry);
-        let snapshot = self.tracer.snapshot();
-        println!("--- trace (wall clock per phase) ---");
-        print!("{}", snapshot.render());
-        println!("--- metrics ---");
-        print!("{}", self.registry.render());
-        if let Some(path) = &self.json_path {
-            let doc = tnet_bench::obs_json::trace_to_json(&snapshot, &self.registry.snapshot());
-            std::fs::write(path, doc.pretty())
-                .map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))?;
-            println!("trace json written to {path}");
-        }
-        Ok(())
+        emit_trace(
+            &self.tracer.snapshot(),
+            &self.registry,
+            self.json_path.as_deref(),
+        )
     }
+}
+
+/// The span tree and the counter table as printed by `--trace` and
+/// `tnet trace`.
+pub fn render_trace(root: &SpanNode, registry: &MetricsRegistry) -> String {
+    format!(
+        "--- trace (wall clock per phase) ---\n{}--- metrics ---\n{}",
+        root.render(),
+        registry.render()
+    )
+}
+
+/// Prints the span tree and counter table to stdout, and writes the
+/// `tnet-trace/v1` document to `json_path` when one is given.
+pub fn emit_trace(
+    root: &SpanNode,
+    registry: &MetricsRegistry,
+    json_path: Option<&str>,
+) -> Result<(), CliError> {
+    print!("{}", render_trace(root, registry));
+    if let Some(path) = json_path {
+        let doc = tnet_obs::json::trace_to_json(root, &registry.snapshot());
+        std::fs::write(path, doc.pretty())
+            .map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))?;
+        println!("trace json written to {path}");
+    }
+    Ok(())
 }
 
 /// Loads transactions: from `--input <csv>` when present, otherwise

@@ -124,17 +124,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
 
     if trace {
         if let Some(snapshot) = handle.trace_snapshot() {
-            println!("--- trace (wall clock per phase) ---");
-            print!("{}", snapshot.render());
-            println!("--- metrics ---");
-            print!("{}", handle.registry().render());
-            if let Some(path) = args.get("trace-json") {
-                let doc =
-                    tnet_bench::obs_json::trace_to_json(&snapshot, &handle.registry().snapshot());
-                std::fs::write(path, doc.pretty())
-                    .map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))?;
-                println!("trace json written to {path}");
-            }
+            super::emit_trace(&snapshot, handle.registry(), args.get("trace-json"))?;
         }
     }
     println!(
@@ -195,6 +185,10 @@ mod tests {
         assert!(send(r#"{"op":"ping"}"#).contains("\"ok\":true"));
         assert!(send(r#"{"op":"stats"}"#).contains("\"report\":"));
         assert!(send(r#"{"op":"nonsense"}"#).contains("\"kind\":\"protocol\""));
+        // `tnet trace` renders a saved `trace` reply like a CLI trace.
+        let summary = super::super::trace::summarize(&send(r#"{"op":"trace"}"#)).unwrap();
+        assert!(summary.contains("serve.cache_misses"), "{summary}");
+        assert!(summary.contains("1 spans"), "{summary}");
         assert!(send(r#"{"op":"shutdown"}"#).contains("\"ok\":true"));
         cli.join().unwrap().unwrap();
         let _ = std::fs::remove_file(&port_file);

@@ -1,17 +1,18 @@
-//! `tnet trace` — summarize a `tnet-trace/v1` JSON document written by
-//! `--trace-json`.
+//! `tnet trace` — summarize a `tnet-trace/v1` JSON document: one
+//! written by `--trace-json`, or a saved reply to the daemon's `trace`
+//! op.
 //!
 //! The document may have been hand-edited, truncated by a crashed run,
-//! or produced by a different tool version, so nothing here is trusted:
-//! parse failures, schema violations, and missing or mistyped fields
-//! (`nanos`, `count`, `label`, `children`, `metrics`) all surface as
-//! runtime errors under the one-line-stderr / exit-1 contract — never a
-//! panic.
+//! or produced by a different tool version, so nothing here is trusted.
+//! The shared decoder (`tnet_obs::json::decode_trace`) caps nesting and
+//! turns parse failures, schema violations, and missing or mistyped
+//! fields (`nanos`, `count`, `label`, `children`, `metrics`) into
+//! one-line runtime errors under the one-line-stderr / exit-1 contract:
+//! never a panic or a stack overflow.
 
 use crate::args::Args;
 use crate::error::CliError;
-use tnet_bench::json::Json;
-use tnet_exec::SpanNode;
+use tnet_exec::{MetricsRegistry, SpanNode};
 
 pub fn run(args: &Args) -> Result<(), CliError> {
     args.ensure_known(&["input"])?;
@@ -28,75 +29,18 @@ pub fn run(args: &Args) -> Result<(), CliError> {
 /// Renders the trace summary, or a one-line description of what is
 /// malformed. Split from [`run`] so tests can exercise it directly.
 pub fn summarize(text: &str) -> Result<String, String> {
-    let doc = Json::parse(text).map_err(|e| format!("malformed trace JSON: {e}"))?;
-    tnet_bench::obs_json::validate_trace(&doc)
-        .map_err(|e| format!("invalid tnet-trace/v1 document: {e}"))?;
-    // Validation has vetted the shapes, but extraction stays typed
-    // anyway: the summary must hold the no-panic contract even if the
-    // validator and this walk ever disagree on a field.
-    let root = span_from_json(doc.get("root").ok_or("missing 'root' span")?, "root", 0)?;
-    let metrics = match doc.get("metrics") {
-        Some(Json::Obj(m)) => m,
-        _ => return Err("missing 'metrics' object".into()),
-    };
-    let mut out = String::new();
-    out.push_str("--- trace (wall clock per phase) ---\n");
-    out.push_str(&root.render());
-    out.push_str("--- metrics ---\n");
-    let width = metrics.keys().map(|k| k.len()).max().unwrap_or(0);
-    for (k, v) in metrics {
-        let n = v
-            .as_f64()
-            .ok_or_else(|| format!("metric '{k}' is not a number"))?;
-        out.push_str(&format!("{k:<width$}  {n}\n"));
+    let (root, metrics) = tnet_obs::json::decode_trace(text)?;
+    let registry = MetricsRegistry::new();
+    for (name, value) in &metrics {
+        registry.add(name, *value);
     }
-    let spans = count_spans(&root);
-    out.push_str(&format!(
-        "{} spans, {} counters, total wall {:.3} ms\n",
-        spans,
+    Ok(format!(
+        "{}{} spans, {} counters, total wall {:.3} ms\n",
+        super::render_trace(&root, &registry),
+        count_spans(&root),
         metrics.len(),
         root.nanos as f64 / 1e6
-    ));
-    Ok(out)
-}
-
-/// Depth-capped typed reconstruction of the span tree. The cap matches
-/// the JSON parser's own nesting limit; a document that deep is not a
-/// real trace.
-fn span_from_json(node: &Json, path: &str, depth: usize) -> Result<SpanNode, String> {
-    if depth > 64 {
-        return Err(format!("{path}: span tree deeper than 64 levels"));
-    }
-    let label = match node.get("label") {
-        Some(Json::Str(s)) => s.clone(),
-        _ => return Err(format!("{path}: missing 'label' string")),
-    };
-    let field = |key: &str| -> Result<u64, String> {
-        let n = node
-            .get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("{path}: '{key}' is not a number"))?;
-        if !(n.is_finite() && n >= 0.0 && n.fract() == 0.0) {
-            return Err(format!("{path}: '{key}' is not a non-negative integer"));
-        }
-        Ok(n as u64)
-    };
-    let nanos = field("nanos")?;
-    let count = field("count")?;
-    let children = match node.get("children") {
-        Some(Json::Arr(arr)) => arr
-            .iter()
-            .enumerate()
-            .map(|(i, c)| span_from_json(c, &format!("{path}.children[{i}]"), depth + 1))
-            .collect::<Result<Vec<_>, _>>()?,
-        _ => return Err(format!("{path}: missing 'children' array")),
-    };
-    Ok(SpanNode {
-        label,
-        nanos,
-        count,
-        children,
-    })
+    ))
 }
 
 fn count_spans(n: &SpanNode) -> usize {

@@ -160,43 +160,21 @@ mod tests {
         .unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
-        let doc = tnet_bench::json::Json::parse(&text).unwrap();
-        tnet_bench::obs_json::validate_trace(&doc).unwrap();
-        let root = doc.get("root").unwrap();
-        assert_eq!(
-            root.get("label"),
-            Some(&tnet_bench::json::Json::Str("mine".into()))
-        );
-        let children = match root.get("children") {
-            Some(tnet_bench::json::Json::Arr(c)) => c,
-            other => panic!("children not an array: {other:?}"),
-        };
-        let labels: Vec<&str> = children
-            .iter()
-            .filter_map(|c| match c.get("label") {
-                Some(tnet_bench::json::Json::Str(s)) => Some(s.as_str()),
-                _ => None,
-            })
-            .collect();
+        let (root, metrics) = tnet_obs::json::decode_trace(&text).unwrap();
+        assert_eq!(root.label, "mine");
+        let labels: Vec<&str> = root.children.iter().map(|c| c.label.as_str()).collect();
         for phase in ["ingest", "binning", "build_od_graph", "partition", "fsg"] {
             assert!(labels.contains(&phase), "missing phase {phase}: {labels:?}");
         }
         // Per-phase wall sums to at most the root total: children nest
         // inside the root timer (slack is idle/orchestration time).
-        let total = root.get("nanos").unwrap().as_f64().unwrap();
-        let summed: f64 = children
-            .iter()
-            .map(|c| c.get("nanos").unwrap().as_f64().unwrap())
-            .sum();
+        let summed = root.children_nanos();
         assert!(
-            summed <= total,
-            "phases ({summed} ns) exceed total wall ({total} ns)"
+            summed <= root.nanos,
+            "phases ({summed} ns) exceed total wall ({} ns)",
+            root.nanos
         );
         // The registry absorbed miner and pool counters.
-        let metrics = match doc.get("metrics") {
-            Some(tnet_bench::json::Json::Obj(m)) => m,
-            other => panic!("metrics not an object: {other:?}"),
-        };
         assert!(metrics.contains_key("fsg.iso_tests"), "{metrics:?}");
         assert!(metrics.contains_key("exec.tasks"), "{metrics:?}");
     }

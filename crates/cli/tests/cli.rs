@@ -183,3 +183,38 @@ fn bad_option_reports_error() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option"));
 }
+
+/// Hostile nesting in a trace file is refused with exit 1 and one
+/// stderr line. Both inputs used to overflow the stack (exit 134).
+#[test]
+fn deeply_nested_trace_files_are_one_line_runtime_errors() {
+    let dir = std::env::temp_dir().join(format!("tnet_cli_deep_trace_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let span = r#"{"label":"s","nanos":1,"count":1,"children":["#;
+    let chain = format!(
+        r#"{{"schema":"tnet-trace/v1","metrics":{{}},"root":{}{}{}}}"#,
+        span.repeat(20_000),
+        r#"{"label":"leaf","nanos":1,"count":1,"children":[]}"#,
+        "]}".repeat(20_000)
+    );
+    for (name, text) in [
+        ("brackets.json", "[".repeat(200_000)),
+        ("chain.json", chain),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        let out = tnet()
+            .args(["trace", "--input", path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{name}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            err.lines().count(),
+            1,
+            "{name}: one-line stderr, got:\n{err}"
+        );
+        assert!(err.contains("nested too deeply"), "{name}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

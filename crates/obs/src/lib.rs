@@ -9,6 +9,9 @@
 //!   per-layer counter structs (`exec.*`, `fsg.*`, `gspan.*`,
 //!   `subdue.*`), answering "what did the run do".
 //!
+//! [`json`] is the workspace's one JSON parser and writer, and holds
+//! the `tnet-trace/v1` export and decoder for both.
+//!
 //! Both ride on the `tnet_exec::Exec` handle (see `Exec::with_obs`), so
 //! every layer that already takes an execution handle is traced without
 //! new plumbing. Disabled (the default), a span is an empty handle and
@@ -17,6 +20,7 @@
 //! scheme, and the `tnet-trace/v1` JSON schema.
 
 mod histogram;
+pub mod json;
 mod metrics;
 mod span;
 

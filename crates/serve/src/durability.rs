@@ -361,6 +361,7 @@ mod tests {
 
     #[test]
     fn fresh_dir_recovers_empty() {
+        let _g = crate::failpoint_test_guard();
         let dir = tmp_dir("fresh");
         let reg = MetricsRegistry::new();
         let r = recover(&dir, &reg).unwrap();
@@ -371,6 +372,7 @@ mod tests {
 
     #[test]
     fn wal_only_recovery_reapplies_everything() {
+        let _g = crate::failpoint_test_guard();
         let dir = tmp_dir("wal_only");
         let reg = MetricsRegistry::new();
         {
@@ -395,6 +397,7 @@ mod tests {
 
     #[test]
     fn snapshot_plus_tail_recovery() {
+        let _g = crate::failpoint_test_guard();
         let dir = tmp_dir("snap_tail");
         let reg = MetricsRegistry::new();
         {
@@ -416,6 +419,7 @@ mod tests {
 
     #[test]
     fn crash_between_snapshot_and_truncate_skips_by_seq() {
+        let _g = crate::failpoint_test_guard();
         let dir = tmp_dir("skip");
         let reg = MetricsRegistry::new();
         {
@@ -441,6 +445,7 @@ mod tests {
 
     #[test]
     fn snapshot_cadence_fires_every_n_records() {
+        let _g = crate::failpoint_test_guard();
         let dir = tmp_dir("cadence");
         let reg = MetricsRegistry::new();
         let mut d = dur(&dir, FsyncPolicy::Never, 2, &reg);
@@ -456,6 +461,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_truncated_and_counted() {
+        let _g = crate::failpoint_test_guard();
         let dir = tmp_dir("torn");
         let reg = MetricsRegistry::new();
         {
@@ -483,6 +489,7 @@ mod tests {
 
     #[test]
     fn midlog_corruption_refuses_recovery() {
+        let _g = crate::failpoint_test_guard();
         let dir = tmp_dir("corrupt");
         let reg = MetricsRegistry::new();
         {
@@ -528,6 +535,7 @@ mod tests {
 
     #[test]
     fn always_policy_fsyncs_per_append() {
+        let _g = crate::failpoint_test_guard();
         let dir = tmp_dir("always");
         let reg = MetricsRegistry::new();
         let mut d = dur(&dir, FsyncPolicy::Always, 0, &reg);

@@ -55,8 +55,10 @@ pub use server::{start, ServeConfig, ServerHandle};
 pub use wal::FsyncPolicy;
 pub use writer::{IngestOp, WriterConfig};
 
-/// Serializes tests that arm process-global failpoints, across every
-/// module of this crate's unit-test binary.
+/// Serializes tests that arm process-global failpoints with the tests
+/// that pass through those sites (`serve::wal_append`, `serve::publish`,
+/// `serve::recover`), across every module of this crate's unit-test
+/// binary; otherwise a test can hit a fault armed by another.
 #[cfg(test)]
 pub(crate) fn failpoint_test_guard() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -4,11 +4,10 @@
 //! JSON object with an `"ok"` boolean; errors carry the
 //! [`tnet_core::error::PipelineError`] taxonomy as
 //! `{"ok":false,"error":{"kind":...,"message":...}}` so clients can
-//! dispatch on the stable `kind` tag. The parser is hand-rolled
-//! recursive descent over the subset of JSON the protocol needs
-//! (objects, arrays, strings, numbers, booleans, null), with a depth
-//! cap so a hostile request can't recurse the connection thread's
-//! stack. Schema reference: DESIGN.md §12.
+//! dispatch on the stable `kind` tag. Lines are parsed by the
+//! workspace's one JSON parser, [`tnet_obs::json`], with a depth cap so
+//! a hostile request can't recurse the connection thread's stack.
+//! Schema reference: DESIGN.md §12.
 //!
 //! Parsing also produces the **canonical query form** used as the cache
 //! key: fixed field order, defaults filled in, whitespace-free — so
@@ -20,6 +19,8 @@ use tnet_data::model::{Date, LatLon, TransMode, Transaction};
 use tnet_data::od_graph::EdgeLabeling;
 use tnet_graph::graph::ELabel;
 use tnet_partition::split::Strategy;
+
+pub use tnet_obs::json::{json_string, JVal};
 
 /// Longest accepted request line, in bytes. Anything longer gets a
 /// typed `protocol` error reply and the rest of the line is discarded;
@@ -101,231 +102,16 @@ impl Request {
     }
 }
 
-/// The JSON subset the protocol speaks.
-#[derive(Clone, Debug, PartialEq)]
-pub enum JVal {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<JVal>),
-    Obj(Vec<(String, JVal)>),
-}
-
-impl JVal {
-    fn type_name(&self) -> &'static str {
-        match self {
-            JVal::Null => "null",
-            JVal::Bool(_) => "bool",
-            JVal::Num(_) => "number",
-            JVal::Str(_) => "string",
-            JVal::Arr(_) => "array",
-            JVal::Obj(_) => "object",
-        }
-    }
-}
-
 fn perr(message: impl Into<String>) -> PipelineError {
     PipelineError::Protocol {
         message: message.into(),
     }
 }
 
-// ---------------------------------------------------------------- parser
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\r' || b == b'\n' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), PipelineError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(perr(format!(
-                "expected `{}` at byte {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<JVal, PipelineError> {
-        if depth > MAX_DEPTH {
-            return Err(perr("request JSON nested too deeply"));
-        }
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(JVal::Str(self.string()?)),
-            Some(b't') => self.keyword("true", JVal::Bool(true)),
-            Some(b'f') => self.keyword("false", JVal::Bool(false)),
-            Some(b'n') => self.keyword("null", JVal::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            Some(b) => Err(perr(format!(
-                "unexpected byte `{}` at {}",
-                b as char, self.pos
-            ))),
-            None => Err(perr("unexpected end of request")),
-        }
-    }
-
-    fn keyword(&mut self, word: &str, val: JVal) -> Result<JVal, PipelineError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(val)
-        } else {
-            Err(perr(format!("bad literal at byte {}", self.pos)))
-        }
-    }
-
-    fn number(&mut self) -> Result<JVal, PipelineError> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| perr("non-utf8 number"))?;
-        text.parse::<f64>()
-            .map(JVal::Num)
-            .map_err(|_| perr(format!("bad number `{text}`")))
-    }
-
-    fn string(&mut self) -> Result<String, PipelineError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(perr("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| perr("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| perr("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| perr("non-utf8 \\u escape"))?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| perr("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogates are replaced rather than paired;
-                            // the protocol never needs astral characters.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        other => return Err(perr(format!("bad escape `\\{}`", other as char))),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| perr("request is not valid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<JVal, PipelineError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JVal::Arr(items));
-        }
-        loop {
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JVal::Arr(items));
-                }
-                _ => return Err(perr("expected `,` or `]` in array")),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<JVal, PipelineError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JVal::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value(depth + 1)?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JVal::Obj(fields));
-                }
-                _ => return Err(perr("expected `,` or `}` in object")),
-            }
-        }
-    }
-}
-
-/// Parses one line into the protocol's JSON subset. Trailing
-/// non-whitespace after the value is an error.
+/// Parses one line as JSON. Trailing non-whitespace after the value is
+/// an error.
 pub fn parse_json(line: &str) -> Result<JVal, PipelineError> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(perr(format!("trailing bytes after value at {}", p.pos)));
-    }
-    Ok(v)
+    tnet_obs::json::parse(line, MAX_DEPTH, "request").map_err(perr)
 }
 
 // ----------------------------------------------------------- extraction
@@ -556,25 +342,6 @@ pub fn parse_request(line: &str) -> Result<Request, PipelineError> {
 
 // ---------------------------------------------------------- serialization
 
-/// JSON-escapes `s` and wraps it in quotes.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// The one-line error reply for `err`.
 pub fn error_reply(err: &PipelineError) -> String {
     format!(
@@ -740,43 +507,27 @@ mod tests {
         }
     }
 
-    /// The dependency-free half of the fuzz suite (the proptest half is
-    /// `tests/prop.rs`, gated behind the `prop` feature): a fixed-seed
-    /// LCG drives random byte lines — embedded NULs, control bytes,
-    /// bracket storms — through the parser. Deterministic, so a
-    /// regression reproduces identically in CI.
+    /// A request line at the length limit parses, quickly: string
+    /// scanning is linear in the line length.
+    #[test]
+    fn max_length_string_request_parses() {
+        let head = r#"{"op":"ping","pad":""#;
+        let line = format!("{head}{}\"}}", "x".repeat(MAX_LINE_BYTES - head.len() - 2));
+        assert_eq!(line.len(), MAX_LINE_BYTES);
+        let started = std::time::Instant::now();
+        assert_eq!(parse_request(&line).unwrap(), Request::Ping);
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+    }
+
+    /// The request-level half of the dependency-free fuzz suite (the
+    /// JSON-level generators live with the parser in `tnet_obs::json`;
+    /// the proptest half is `tests/prop.rs`, gated behind the `prop`
+    /// feature): valid requests with random single-byte edits, from a
+    /// fixed seed so a regression reproduces identically in CI.
     #[test]
     fn deterministic_fuzz_never_panics() {
         let mut state = 0x2545_F491_4F6C_DD1Du64;
-        let mut next = move || {
-            // SplitMix64: dependency-free, full-period, well-mixed.
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        // Pure random bytes, lossily decoded like the connection thread
-        // does with non-UTF-8 input.
-        for _ in 0..2_000 {
-            let len = (next() % 256) as usize;
-            let bytes: Vec<u8> = (0..len).map(|_| (next() & 0xFF) as u8).collect();
-            assert_never_panics(&String::from_utf8_lossy(&bytes));
-        }
-        // Structure-biased lines: random draws from the protocol's own
-        // alphabet, which reach much deeper into the parser.
-        const ALPHABET: &[&str] = &[
-            "{", "}", "[", "]", "\"", "\\", ":", ",", "\u{0}", "op", "\"op\"", "ping", "ingest",
-            "records", "null", "true", "-", "1e309", "0.5", "\\u0041", "\\uZZZZ", " ", "\"id\"",
-        ];
-        for _ in 0..2_000 {
-            let parts = (next() % 48) as usize;
-            let line: String = (0..parts)
-                .map(|_| ALPHABET[(next() as usize) % ALPHABET.len()])
-                .collect();
-            assert_never_panics(&line);
-        }
-        // Mutation fuzz: valid requests with random single-byte edits.
+        let mut next = move || tnet_graph::rng::splitmix64(&mut state);
         let seeds = [
             r#"{"op":"ping"}"#.to_string(),
             r#"{"op":"support","labeling":"gw","labels":[0,1,2]}"#.to_string(),
@@ -790,13 +541,6 @@ mod tests {
                 bytes[at] = (next() & 0xFF) as u8;
             }
             assert_never_panics(&String::from_utf8_lossy(&bytes));
-        }
-        // Nesting storms beyond MAX_DEPTH must error, never overflow.
-        for depth in [MAX_DEPTH + 1, 64, 1024, 4096] {
-            let arr = format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
-            assert_eq!(parse_request(&arr).unwrap_err().kind(), "protocol");
-            let obj = format!("{}1{}", "{\"k\":".repeat(depth), "}".repeat(depth));
-            assert_eq!(parse_request(&obj).unwrap_err().kind(), "protocol");
         }
     }
 }

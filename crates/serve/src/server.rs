@@ -35,7 +35,8 @@ use std::time::{Duration, Instant};
 use tnet_core::error::PipelineError;
 use tnet_data::model::Transaction;
 use tnet_exec::{CancelToken, Exec};
-use tnet_obs::{LatencyHistogram, MetricsRegistry, Span, Tracer};
+use tnet_obs::json::{self, JVal};
+use tnet_obs::{LatencyHistogram, MetricsRegistry, Span, SpanNode, Tracer};
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -84,6 +85,9 @@ struct Shared {
     fsync_latency: Arc<LatencyHistogram>,
     shutdown: CancelToken,
     threads: usize,
+    /// The span tree, when tracing was enabled; exported through the
+    /// `trace` op and [`ServerHandle::trace_snapshot`].
+    tracer: Option<Tracer>,
 }
 
 /// A running daemon. Dropping the handle without calling
@@ -91,7 +95,6 @@ struct Shared {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    tracer: Option<Tracer>,
     ingest: Mutex<Option<Sender<IngestOp>>>,
     accept_thread: Option<JoinHandle<()>>,
     writer_thread: Option<JoinHandle<()>>,
@@ -182,6 +185,7 @@ pub fn start(cfg: ServeConfig) -> Result<ServerHandle, PipelineError> {
         fsync_latency,
         shutdown: CancelToken::new(),
         threads: cfg.threads,
+        tracer,
     });
 
     let accept_shared = Arc::clone(&shared);
@@ -194,7 +198,6 @@ pub fn start(cfg: ServeConfig) -> Result<ServerHandle, PipelineError> {
     Ok(ServerHandle {
         addr,
         shared,
-        tracer,
         ingest: Mutex::new(Some(ingest_tx)),
         accept_thread: Some(accept_thread),
         writer_thread: Some(writer_thread),
@@ -240,7 +243,7 @@ impl ServerHandle {
 
     /// The span tree collected so far, when tracing was enabled.
     pub fn trace_snapshot(&self) -> Option<tnet_obs::SpanNode> {
-        self.tracer.as_ref().map(|t| t.snapshot())
+        self.shared.tracer.as_ref().map(Tracer::snapshot)
     }
 
     /// Drains and stops everything: connections finish their in-flight
@@ -577,8 +580,9 @@ fn finalize(request: &Request, reply: String, shared: &Shared) -> String {
     reply
 }
 
-/// The `trace` op: every counter the daemon keeps, as one flat JSON
-/// object (deterministic key order).
+/// The `trace` op: a one-line `tnet-trace/v1` document holding every
+/// counter the daemon keeps (deterministic key order) and its span tree
+/// (an empty root when tracing is off), after `"ok":true,"op":"trace"`.
 fn trace_reply(shared: &Shared) -> String {
     let mut metrics = shared.registry.snapshot();
     metrics.insert("serve.cache_hits".into(), shared.cache.hits());
@@ -597,12 +601,21 @@ fn trace_reply(shared: &Shared) -> String {
         .publish("wal.fsync", &mut |name, v| {
             metrics.insert(name.to_string(), v);
         });
-    let fields: Vec<String> = metrics
-        .iter()
-        .map(|(k, v)| format!("{}:{v}", proto::json_string(k)))
-        .collect();
-    format!(
-        "{{\"ok\":true,\"op\":\"trace\",\"metrics\":{{{}}}}}",
-        fields.join(",")
-    )
+    let root = shared.tracer.as_ref().map_or_else(
+        || SpanNode {
+            label: "serve".into(),
+            nanos: 0,
+            count: 0,
+            children: Vec::new(),
+        },
+        Tracer::snapshot,
+    );
+    let mut fields = vec![
+        ("ok".to_string(), JVal::Bool(true)),
+        ("op".to_string(), JVal::Str("trace".into())),
+    ];
+    if let JVal::Obj(doc) = json::trace_to_json(&root, &metrics) {
+        fields.extend(doc);
+    }
+    JVal::Obj(fields).compact()
 }

@@ -559,6 +559,7 @@ mod tests {
 
     #[test]
     fn partial_header_at_eof_is_torn() {
+        let _g = crate::failpoint_test_guard();
         let path = tmp("torn_header");
         write_ops(&path, &[WalOp::Delete(vec![7])]);
         let valid = std::fs::metadata(&path).unwrap().len();
@@ -606,6 +607,7 @@ mod tests {
 
     #[test]
     fn truncate_resets_bytes_but_not_seq() {
+        let _g = crate::failpoint_test_guard();
         let path = tmp("rotate");
         let mut w = write_ops(&path, &[WalOp::Delete(vec![1]), WalOp::Delete(vec![2])]);
         assert_eq!(w.seq, 2);

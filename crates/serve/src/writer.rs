@@ -348,6 +348,7 @@ mod tests {
 
     #[test]
     fn appends_and_deletes_shape_the_published_set() {
+        let _g = crate::failpoint_test_guard();
         let (mut w, cell, _) = writer();
         let reader = cell.register().unwrap();
         w.apply(IngestOp::Append(
@@ -390,6 +391,7 @@ mod tests {
 
     #[test]
     fn run_flushes_on_disconnect() {
+        let _g = crate::failpoint_test_guard();
         let (w, cell, registry) = writer();
         let reader = cell.register().unwrap();
         let (tx, rx) = std::sync::mpsc::channel();
@@ -412,6 +414,7 @@ mod tests {
 
     #[test]
     fn flush_op_forces_an_immediate_publish() {
+        let _g = crate::failpoint_test_guard();
         let (w, cell, _) = writer();
         let reader = cell.register().unwrap();
         let (tx, rx) = std::sync::mpsc::channel();
@@ -438,6 +441,7 @@ mod tests {
 
     #[test]
     fn acked_batches_survive_a_writer_drop() {
+        let _g = crate::failpoint_test_guard();
         let dir = tmp_dir("ack_survives");
         let (mut w, _cell, _reg) = durable_writer(&dir, 0);
         let (ack_tx, ack_rx) = std::sync::mpsc::channel();
@@ -488,6 +492,7 @@ mod tests {
 
     #[test]
     fn checkpoint_cadence_compacts_log_and_truncates_wal() {
+        let _g = crate::failpoint_test_guard();
         let dir = tmp_dir("cadence");
         let (mut w, _cell, registry) = durable_writer(&dir, 3);
         w.apply(IngestOp::Append(vec![txn(1, 1000.0), txn(2, 2000.0)], None));

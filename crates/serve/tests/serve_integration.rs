@@ -17,7 +17,8 @@ use tnet_data::model::Transaction;
 use tnet_data::od_graph::{build_od_graph, EdgeLabeling, VertexLabeling};
 use tnet_exec::Exec;
 use tnet_graph::traverse::count_label_walks;
-use tnet_serve::proto::{json_string, parse_request};
+use tnet_obs::json::decode_trace;
+use tnet_serve::proto::{json_string, parse_json, parse_request, JVal};
 use tnet_serve::{query, EpochCell, Generation, ServeConfig, ServerHandle, WriterConfig};
 
 fn txns(scale: f64, seed: u64) -> Vec<Transaction> {
@@ -195,6 +196,54 @@ fn generation_turnover_invalidates_cache_keys() {
     handle.shutdown();
     handle.wait();
     handle.join().unwrap();
+}
+
+/// The `trace` reply is one line: `"ok":true,"op":"trace"` and then a
+/// `tnet-trace/v1` document carrying the daemon's span tree and
+/// counters. It decodes through the shared trace decoder, and it still
+/// fits the protocol parser's depth cap, which clients reading replies
+/// with `proto::parse_json` rely on.
+#[test]
+fn trace_reply_is_a_one_line_trace_document() {
+    let mut handle = tnet_serve::start(ServeConfig {
+        trace: true,
+        ..churny_config(txns(0.005, 7))
+    })
+    .unwrap();
+    let mut c = Client::connect(&handle);
+    assert!(c.send(r#"{"op":"stats"}"#).contains("\"ok\":true"));
+    let accepted = c.send(r#"{"op":"ingest","records":[{"id":900001,"pickup":733040,"olat":40.1,"olon":-88.0,"dlat":41.9,"dlon":-87.6,"distance":180.0,"weight":9500.0,"hours":8.0}]}"#);
+    assert!(accepted.contains("\"accepted\":1"), "{accepted}");
+    wait_for_generation(&mut c, 1);
+
+    let reply = c.send(r#"{"op":"trace"}"#);
+    assert!(
+        reply.starts_with(r#"{"ok":true,"op":"trace","schema":"tnet-trace/v1","#),
+        "{reply}"
+    );
+    let JVal::Obj(fields) = parse_json(&reply).unwrap() else {
+        panic!("not an object: {reply}");
+    };
+    assert!(fields.iter().any(|(k, _)| k == "metrics"));
+    let (root, metrics) = decode_trace(&reply).unwrap();
+    assert_eq!(root.label, "serve");
+    for phase in ["serve.genesis", "serve.publish", "serve.freeze"] {
+        assert_eq!(root.find(phase).map(|s| s.count), Some(1), "{root:?}");
+    }
+    assert_eq!(metrics["serve.cache_misses"], 1);
+    assert_eq!(metrics["serve.queries"], field_u64(&reply, "serve.queries"));
+
+    // Untraced, the root is an empty `serve` span.
+    let mut plain = tnet_serve::start(quiescent_config(txns(0.005, 7))).unwrap();
+    let mut p = Client::connect(&plain);
+    let (root, _) = decode_trace(&p.send(r#"{"op":"trace"}"#)).unwrap();
+    assert_eq!((root.label.as_str(), root.count), ("serve", 0));
+    assert!(root.children.is_empty());
+    for h in [&mut handle, &mut plain] {
+        h.shutdown();
+        h.wait();
+        h.join().unwrap();
+    }
 }
 
 /// Eviction follows recency, not insertion order, and the counters the
