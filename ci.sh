@@ -14,6 +14,13 @@ echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release --workspace --offline
 cargo test -q --workspace --offline
 
+echo "== benchmark crate: builds and tests against the workspace API"
+# e2ebench is a workspace of its own that links the library crates by
+# path, so a public-API change that breaks it must fail here rather
+# than in a benchmark run.
+cargo build --release --offline --manifest-path e2ebench/Cargo.toml
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml
+
 echo "== fault injection: supervised report under every failpoint site"
 # Each armed site must leave the report standing: exit 0, a per-section
 # failure (or degraded) notice, and the end-of-report summary line.
@@ -91,11 +98,11 @@ grep -q 'fsg.iso_tests' /tmp/tnet_ci_trace.out
 grep -q '^frozen graphs:' /tmp/tnet_ci_trace.out
 grep -q 'graph.freeze_count' /tmp/tnet_ci_trace.out
 grep -q 'graph.csr_bytes' /tmp/tnet_ci_trace.out
-# Data-layout counters (DESIGN.md §14): fingerprint table bytes, per-run
-# rejects, and the L2 chunk-size hint all surface in the same namespace.
+# Data-layout counters (DESIGN.md §14): fingerprint table bytes, bitset
+# intersections, and the L2 chunk-size hint all surface in the same
+# namespace.
 grep -q '^data layout:' /tmp/tnet_ci_trace.out
 grep -q 'graph.fingerprint_bytes' /tmp/tnet_ci_trace.out
-grep -q 'fsg.fingerprint_rejects' /tmp/tnet_ci_trace.out
 grep -q 'fsg.bitset_intersections' /tmp/tnet_ci_trace.out
 grep -q 'exec.chunk_items' /tmp/tnet_ci_trace.out
 rm -f /tmp/tnet_ci_trace.out
@@ -201,11 +208,10 @@ echo "== bench smoke: miner report emits valid JSON, iso_tests under gate"
 # The smoke run times all three miners once, writes the report, and exits
 # non-zero if FSG's deterministic iso_tests counter on the default
 # workload regresses past the 5x-drop gate baked into the binary. The run
-# itself asserts that frozen-vs-arena and every per-technique toggle
-# (bitset TIDs off, fingerprints off) mine byte-identical pattern sets.
-# --validate re-parses the emitted file and checks all miners are
-# present, the data-layout counters are live, the per-technique
-# off/on wall ratios clear the slowdown floor, and the
+# itself asserts that the frozen and arena paths mine byte-identical
+# pattern sets. --validate re-parses the emitted file and checks all
+# miners are present, the data-layout counters are live, frozen support
+# counting stays within its ratio gate of the arena path, and the
 # partition-vs-neighborhood block has live rows (a completed
 # neighborhood run per row; the committed full report must also carry
 # the ≥10× scaled row).
@@ -214,8 +220,8 @@ cargo run --release -q -p tnet-bench --offline --bin bench_miners -- \
     --smoke --out "$BENCH_OUT"
 cargo run --release -q -p tnet-bench --offline --bin bench_miners -- \
     --validate "$BENCH_OUT"
-# The committed full report must pass the same gates, including the
-# fingerprint-reject sanity check on the dense large_txn workload
+# The committed full report must pass the same gates, plus the gSpan
+# large_txn row showing embedding propagation beating scratch VF2
 # (smoke runs skip that workload).
 cargo run --release -q -p tnet-bench --offline --bin bench_miners -- \
     --validate BENCH_miners.json

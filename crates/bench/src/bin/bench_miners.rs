@@ -33,10 +33,7 @@ use tnet_core::pipeline::Pipeline;
 use tnet_data::binning::BinScheme;
 use tnet_data::od_graph::{EdgeLabeling, VertexLabeling};
 use tnet_exec::{Exec, MetricsRegistry, Span, Tracer};
-use tnet_fsg::{
-    mine, mine_arena_with, mine_neighborhoods, mine_source, mine_with, FsgConfig, NbhdConfig,
-    Support,
-};
+use tnet_fsg::{mine, mine_neighborhoods, mine_source, mine_with, FsgConfig, NbhdConfig, Support};
 use tnet_graph::frozen::{FrozenStats, TxnSet};
 use tnet_graph::graph::Graph;
 use tnet_graph::rng::StdRng;
@@ -59,14 +56,6 @@ const FSG_DEFAULT_ISO_GATE: usize = 116;
 /// wall clock; the headroom absorbs shared-host jitter while still
 /// catching a representation-level slowdown).
 const SUPPORT_COUNT_RATIO_GATE: f64 = 1.5;
-
-/// `--validate` floor on the per-technique off/on wall ratios in the
-/// `support_count` block (`bitsets_off_over_on`,
-/// `fingerprint_off_over_on`). A technique is allowed to be a wash on a
-/// small workload, but if turning it *off* makes the miner this much
-/// faster the technique has become a regression and the gate trips. The
-/// floor sits well under 1.0 to absorb shared-host jitter.
-const TECHNIQUE_RATIO_FLOOR: f64 = 0.6;
 
 /// Historical baselines recorded on the development host (best of
 /// three), kept in the report so the perf trajectory is visible without
@@ -183,14 +172,6 @@ fn fsg_row(
             JVal::Num(out.stats.peak_candidate_bytes as f64),
         ),
         (
-            "fingerprint_rejects",
-            JVal::Num(out.stats.fingerprint_rejects as f64),
-        ),
-        (
-            "fingerprint_rejects_scratch",
-            JVal::Num(out_s.stats.fingerprint_rejects as f64),
-        ),
-        (
             "bitset_intersections",
             JVal::Num(out.stats.bitset_intersections as f64),
         ),
@@ -284,10 +265,9 @@ fn subdue_row(scale: f64, seed: u64, vertices: usize, samples: usize) -> JVal {
 
 /// Renders a pattern set to a canonical string so two runs can be
 /// compared byte-for-byte, not just by count. Every differential in this
-/// file (frozen vs arena, each technique toggled off vs on) goes through
-/// this — the data-layout techniques are all supposed to be
-/// output-invariant, and a byte mismatch here means one of them changed
-/// results.
+/// file (frozen vs arena, incremental vs full windows) goes through
+/// this — a byte mismatch means a representation or counting path
+/// changed results.
 fn pattern_bytes(out: &tnet_fsg::FsgOutput) -> String {
     let mut s = String::new();
     for p in &out.patterns {
@@ -303,12 +283,6 @@ fn pattern_bytes(out: &tnet_fsg::FsgOutput) -> String {
 /// reports the one-off packing cost separately. The two paths must mine
 /// byte-identical pattern sets — support counting is
 /// representation-blind.
-///
-/// The row also times the frozen path with each data-layout technique
-/// individually toggled off (bitset TID intersection, fingerprint
-/// pre-filter), reporting `*_off_over_on` wall ratios. Each toggle is
-/// output-invariant, so the toggled runs must also be byte-identical;
-/// `--validate` gates the ratios against [`TECHNIQUE_RATIO_FLOOR`].
 fn support_count_row(
     name: &str,
     txns: &[Graph],
@@ -319,8 +293,6 @@ fn support_count_row(
     let cfg = FsgConfig::default()
         .with_support(Support::Count(support))
         .with_max_edges(max_edges);
-    let cfg_no_bitsets = cfg.clone().with_tid_bitsets(false);
-    let cfg_no_fp = cfg.clone().with_fingerprint_filter(false);
     let exec = Exec::new(1);
     let freeze_before = FrozenStats::snapshot();
     let freeze_start = Instant::now();
@@ -335,35 +307,14 @@ fn support_count_row(
     let searches = FrozenStats::snapshot()
         .since(&mine_before)
         .adj_binary_searches;
-    let t_nb = bench(&format!("support_count/{name}/no_bitsets"), samples, || {
-        mine_source(&frozen, &cfg_no_bitsets, &exec).unwrap()
-    });
-    let out_nb = mine_source(&frozen, &cfg_no_bitsets, &exec).unwrap();
-    let t_nf = bench(
-        &format!("support_count/{name}/no_fingerprints"),
-        samples,
-        || mine_source(&frozen, &cfg_no_fp, &exec).unwrap(),
-    );
-    let out_nf = mine_source(&frozen, &cfg_no_fp, &exec).unwrap();
     let ta = bench(&format!("support_count/{name}/arena"), samples, || {
-        mine_arena_with(txns, &cfg, &exec).unwrap()
+        mine_source(txns, &cfg, &exec).unwrap()
     });
-    let out_a = mine_arena_with(txns, &cfg, &exec).unwrap();
-    let canon = pattern_bytes(&out_f);
+    let out_a = mine_source(txns, &cfg, &exec).unwrap();
     assert_eq!(
-        canon,
+        pattern_bytes(&out_f),
         pattern_bytes(&out_a),
         "frozen and arena support counting must mine byte-identical patterns"
-    );
-    assert_eq!(
-        canon,
-        pattern_bytes(&out_nb),
-        "bitset TID intersection must be output-invariant"
-    );
-    assert_eq!(
-        canon,
-        pattern_bytes(&out_nf),
-        "fingerprint pre-filter must be output-invariant"
     );
     JVal::obj([
         ("workload", JVal::Str(name.into())),
@@ -373,23 +324,9 @@ fn support_count_row(
             "frozen_over_arena",
             JVal::Num(tf.best_ms() / ta.best_ms().max(1e-9)),
         ),
-        ("wall_ms_no_bitsets", JVal::Num(t_nb.best_ms())),
-        (
-            "bitsets_off_over_on",
-            JVal::Num(t_nb.best_ms() / tf.best_ms().max(1e-9)),
-        ),
-        ("wall_ms_no_fingerprints", JVal::Num(t_nf.best_ms())),
-        (
-            "fingerprint_off_over_on",
-            JVal::Num(t_nf.best_ms() / tf.best_ms().max(1e-9)),
-        ),
         (
             "bitset_intersections",
             JVal::Num(out_f.stats.bitset_intersections as f64),
-        ),
-        (
-            "fingerprint_rejects",
-            JVal::Num(out_f.stats.fingerprint_rejects as f64),
         ),
         ("soa_bytes", JVal::Num(out_f.stats.soa_bytes as f64)),
         ("freeze_ms", JVal::Num(freeze_ms)),
@@ -655,7 +592,6 @@ fn validate(path: &str) -> Result<(), String> {
         "graph.adj_binary_searches",
         "graph.fingerprint_bytes",
         "exec.chunk_items",
-        "fsg.fingerprint_rejects",
         "fsg.bitset_intersections",
         "fsg.soa_bytes",
         "gspan.fingerprint_rejects",
@@ -682,18 +618,8 @@ fn validate(path: &str) -> Result<(), String> {
              gate is {SUPPORT_COUNT_RATIO_GATE}"
         ));
     }
-    // Per-technique gates: each data-layout technique must still be
-    // exercised (its counter is live) and must not have turned into a
-    // slowdown (off/on wall ratio above the floor).
-    for key in ["bitsets_off_over_on", "fingerprint_off_over_on"] {
-        let r = num(sc, key)?;
-        if r < TECHNIQUE_RATIO_FLOOR {
-            return Err(format!(
-                "REGRESSION — support_count {key} = {r:.2}; the technique is a \
-                 slowdown (floor {TECHNIQUE_RATIO_FLOOR})"
-            ));
-        }
-    }
+    // The hardwired data-layout techniques must still be exercised:
+    // their counters are live on the bench workload.
     if num(sc, "bitset_intersections")? <= 0.0 {
         return Err("support_count.bitset_intersections is 0 — the bitset TID \
                     path is never taken on the bench workload"
@@ -779,19 +705,24 @@ fn validate(path: &str) -> Result<(), String> {
              (max scale_factor {max_scale:.1})"
         ));
     }
-    // Fingerprint reject-rate sanity: every FSG row must report the
-    // counter, and the dense large_txn workload (present in non-smoke
-    // reports) must actually reject something from the scratch path.
-    if let Some(JVal::Arr(rows)) = doc.get("miners").and_then(|m| m.get("fsg")) {
-        for row in rows {
-            let rejects = num(row, "fingerprint_rejects_scratch")
-                .map_err(|_| "fsg row missing 'fingerprint_rejects_scratch'".to_string())?;
-            let is_large = matches!(row.get("workload"), Some(JVal::Str(s)) if s == "large_txn");
-            if is_large && rejects <= 0.0 {
-                return Err("fsg/large_txn fingerprint_rejects_scratch is 0 — the \
-                            fingerprint pre-filter never fires on the dense workload"
-                    .into());
-            }
+    // gSpan's embedding propagation is kept because it beats scratch
+    // VF2 on the dense large_txn workload; a full report carries that
+    // row and must still show the win.
+    if !is_smoke {
+        let large = match miners.get("gspan") {
+            Some(JVal::Arr(rows)) => rows
+                .iter()
+                .find(|r| matches!(r.get("workload"), Some(JVal::Str(s)) if s == "large_txn")),
+            _ => None,
+        }
+        .ok_or("full report has no gspan large_txn row")?;
+        let speedup = num(large, "speedup_vs_scratch")
+            .map_err(|_| "gspan/large_txn row missing 'speedup_vs_scratch'".to_string())?;
+        if speedup <= 1.0 {
+            return Err(format!(
+                "REGRESSION — gspan/large_txn speedup_vs_scratch = {speedup:.2}; \
+                 embedding propagation no longer beats scratch VF2"
+            ));
         }
     }
     println!(
@@ -840,13 +771,14 @@ fn main() -> ExitCode {
 
     let (fsg_default, default_iso) = fsg_row("default", &default_txns, 4, 4, samples);
     let mut fsg_rows = vec![fsg_default];
+    let mut gspan_rows = vec![gspan_row("default", &default_txns, 4, 4, samples)];
     if !opts.smoke {
         // Large-transaction split: few, dense transactions — the shape
         // where scratch VF2 hurts most and propagation pays off hardest.
         let large_txns = split_workload(0.2, opts.seed, 4);
         fsg_rows.push(fsg_row("large_txn", &large_txns, 4, 4, samples).0);
+        gspan_rows.push(gspan_row("large_txn", &large_txns, 4, 4, samples));
     }
-    let gspan_rows = vec![gspan_row("default", &default_txns, 4, 4, samples)];
     let support_count = support_count_row("default", &default_txns, 4, 4, samples);
     let mut pvn_rows = vec![partition_vs_neighborhood_row(
         "base", 0.015, opts.seed, samples,

@@ -138,7 +138,6 @@ pub fn run(args: &Args) -> Result<(), CliError> {
         let embeddings_extended = AtomicUsize::new(0);
         let embeddings_spilled = AtomicUsize::new(0);
         let tid_skips = AtomicUsize::new(0);
-        let fingerprint_rejects = AtomicUsize::new(0);
         let bitset_intersections = AtomicUsize::new(0);
         let soa_bytes = AtomicUsize::new(0);
         let patterns =
@@ -157,8 +156,6 @@ pub fn run(args: &Args) -> Result<(), CliError> {
                         embeddings_spilled
                             .fetch_add(out.stats.embeddings_spilled, Ordering::Relaxed);
                         tid_skips.fetch_add(out.stats.tid_intersection_skips, Ordering::Relaxed);
-                        fingerprint_rejects
-                            .fetch_add(out.stats.fingerprint_rejects, Ordering::Relaxed);
                         bitset_intersections
                             .fetch_add(out.stats.bitset_intersections, Ordering::Relaxed);
                         soa_bytes.fetch_max(out.stats.soa_bytes, Ordering::Relaxed);
@@ -186,9 +183,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
                 tid_skips.load(Ordering::Relaxed),
             );
             println!(
-                "data layout: {} fingerprint rejects, {} bitset intersections, \
-                 {} peak SoA embedding bytes",
-                fingerprint_rejects.load(Ordering::Relaxed),
+                "data layout: {} bitset intersections, {} peak SoA embedding bytes",
                 bitset_intersections.load(Ordering::Relaxed),
                 soa_bytes.load(Ordering::Relaxed),
             );

@@ -1,4 +1,4 @@
-//! `tnet report` — the full E1–E15 reproduction report plus the E17–E21
+//! `tnet report` — the full E1–E16 reproduction report plus the E17–E19
 //! extensions, run under supervision: every section is panic-isolated,
 //! optionally deadline- and budget-bounded, and retried once at reduced
 //! effort on a retryable failure. The command succeeds (exit 0) as long

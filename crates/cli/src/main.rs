@@ -44,14 +44,20 @@ COMMANDS:
               --beam N --best N --max-size N --passes N
     temporal  Sec 6 temporal experiments (Tables 2-3, Figure 4, OOM)
               --quiet-fraction F --budget-mb N --oom-support N
+              windowed mode (sliding/tumbling mining sessions):
+                --granularity hour|day|week --window N --slide N
+                --incremental true|false --flow true|false
+                --support N --max-edges N --top N --verbose true
     lanes     periodic lanes and repeated routes (Sec 9 extensions)
               --max-sep N --max-len N --min-occurrences N
-    report    the full E1..E15 report (+E17..E21 extensions)
+    report    the full E1..E16 report (+E17..E19 extensions)
               --scale F --seed N --extensions true|false
               --deadline-secs F --section-budget MB
     serve     long-lived pattern-mining daemon (JSON lines over TCP)
               --port N --port-file PATH --publish-interval-ms N
               --batch N --cache N --shutdown-on-stdin-eof true|false
+              --data-dir PATH --fsync always|never|interval[:MS]
+              --snapshot-every N --trace --trace-json PATH
     trace     summarize a tnet-trace/v1 JSON file (from --trace-json)
               --input PATH
     help      this message
@@ -123,6 +129,27 @@ mod tests {
     #[test]
     fn help_works() {
         run(&argv("help")).unwrap();
+    }
+
+    /// The help text names every flag of the windowed temporal mode and
+    /// the durable daemon, and only the report sections that run.
+    #[test]
+    fn help_names_every_windowed_and_durability_flag() {
+        for flag in [
+            "--granularity",
+            "--window",
+            "--slide",
+            "--incremental",
+            "--flow",
+            "--data-dir",
+            "--fsync",
+            "--snapshot-every",
+            "--trace",
+        ] {
+            assert!(HELP.contains(&format!("{flag} ")), "help lacks {flag}");
+        }
+        assert!(HELP.contains("E17..E19"), "report extensions");
+        assert!(!HELP.contains("E21"), "E20/E21 are not report sections");
     }
 
     #[test]

@@ -136,10 +136,8 @@ impl fmt::Display for Fig4Result {
         )?;
         writeln!(
             f,
-            "data layout: {} fingerprint rejects, {} bitset intersections, {} peak SoA bytes",
-            self.mining.fingerprint_rejects,
-            self.mining.bitset_intersections,
-            self.mining.soa_bytes
+            "data layout: {} bitset intersections, {} peak SoA bytes",
+            self.mining.bitset_intersections, self.mining.soa_bytes
         )?;
         Ok(())
     }

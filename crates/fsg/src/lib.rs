@@ -30,9 +30,7 @@ pub mod tidset;
 pub mod types;
 
 pub use maximal::{filter_patterns, filter_with_report, Keep, Reduction};
-pub use miner::{
-    mine, mine_arena_with, mine_for_algorithm1, mine_for_algorithm1_with, mine_source, mine_with,
-};
+pub use miner::{mine, mine_for_algorithm1, mine_for_algorithm1_with, mine_source, mine_with};
 pub use nbhd::{
     mine_frozen, mine_neighborhoods, NbhdConfig, NbhdError, NbhdIndex, NbhdOutput, NbhdPattern,
     NbhdStats, NbhdView,

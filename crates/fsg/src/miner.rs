@@ -19,7 +19,6 @@ use crate::tidset::{self, TidBitset};
 use crate::types::{FrequentPattern, FsgConfig, FsgError, FsgOutput, MiningStats};
 use tnet_exec::Exec;
 use tnet_graph::canon::IsoClassMap;
-use tnet_graph::fingerprint::{graph_fingerprints, may_embed};
 use tnet_graph::frozen::TxnSet;
 use tnet_graph::graph::{ELabel, Graph, VLabel};
 use tnet_graph::hash::{FxHashMap, FxHashSet};
@@ -43,7 +42,6 @@ struct VerdictStats {
     embeddings_extended: usize,
     embeddings_spilled: usize,
     tid_intersection_skips: usize,
-    fingerprint_rejects: usize,
     bitset_intersections: usize,
 }
 
@@ -108,8 +106,8 @@ pub fn mine(transactions: &[Graph], cfg: &FsgConfig) -> Result<FsgOutput, FsgErr
 /// label-sorted adjacency) before mining — support counting then
 /// binary-searches candidate edges instead of scanning adjacency lists.
 /// The frozen snapshot preserves the builder's iteration order, so the
-/// output is byte-identical to [`mine_arena_with`] and to itself at any
-/// thread count.
+/// output is byte-identical to [`mine_source`] over the arena slice and
+/// to itself at any thread count.
 ///
 /// # Errors
 /// - [`FsgError::MemoryBudgetExceeded`] when a candidate level outgrows
@@ -126,20 +124,10 @@ pub fn mine_with(
     mine_source(&frozen, cfg, exec)
 }
 
-/// As [`mine_with`], but traverses the mutable arena representation
-/// directly instead of freezing a CSR snapshot. Kept for differential
-/// testing and the frozen-vs-arena benchmark; both paths produce
-/// byte-identical output.
-pub fn mine_arena_with(
-    transactions: &[Graph],
-    cfg: &FsgConfig,
-    exec: &Exec,
-) -> Result<FsgOutput, FsgError> {
-    mine_source(transactions, cfg, exec)
-}
-
 /// The representation-generic miner core behind [`mine_with`] (frozen
-/// [`TxnSet`]) and [`mine_arena_with`] (`&[Graph]`). Candidate generation
+/// [`TxnSet`]). Passing the arena slice (`&txns[..]`) traverses the
+/// mutable representation directly — the frozen-vs-arena differential
+/// and benchmark use it as the oracle. Candidate generation
 /// and result folding stay sequential and in candidate order, and every
 /// [`TxnSource`] yields transactions whose iteration order matches the
 /// builder's, so the output is identical across sources and thread
@@ -348,17 +336,13 @@ pub(crate) fn mine_core<T: TxnSource + ?Sized>(
         // words instead of merging sorted lists. Sparse parents keep
         // `None` and their candidates fall back to the sorted path.
         let txn_count = transactions.txn_count();
-        let bitsets: Vec<Option<TidBitset>> = if cfg.tid_bitsets {
-            frequent
-                .iter()
-                .map(|p| {
-                    tidset::use_bitset(p.tids.len(), txn_count)
-                        .then(|| TidBitset::from_sorted(&p.tids, txn_count))
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let bitsets: Vec<Option<TidBitset>> = frequent
+            .iter()
+            .map(|p| {
+                tidset::use_bitset(p.tids.len(), txn_count)
+                    .then(|| TidBitset::from_sorted(&p.tids, txn_count))
+            })
+            .collect();
         // Evaluate candidates in parallel: each verdict is a pure
         // function of (candidate, previous level, transactions), and the
         // fold below walks verdicts in candidate order — the costly VF2
@@ -403,7 +387,6 @@ pub(crate) fn mine_core<T: TxnSource + ?Sized>(
                             if let Some(known) = ic.lookup(level, candidate) {
                                 let alo = ic.added_lo;
                                 let added: Vec<u32> = if distinct.len() > 1
-                                    && cfg.tid_bitsets
                                     && distinct.iter().all(|&i| bitsets[i].is_some())
                                 {
                                     let w0 = (alo / 64) as usize;
@@ -480,28 +463,26 @@ pub(crate) fn mine_core<T: TxnSource + ?Sized>(
                             }
                         }
                     }
-                    let inter: Vec<u32> = if distinct.len() > 1
-                        && cfg.tid_bitsets
-                        && distinct.iter().all(|&i| bitsets[i].is_some())
-                    {
-                        // Branchless word ANDs; materializing ascending
-                        // reproduces the sorted merge's output exactly.
-                        let mut acc = bitsets[distinct[0]].as_ref().unwrap().words().to_vec();
-                        for &pi in &distinct[1..] {
-                            tidset::and_words(&mut acc, bitsets[pi].as_ref().unwrap().words());
-                            vstats.bitset_intersections += 1;
-                        }
-                        tidset::materialize(&acc)
-                    } else {
-                        let mut inter: Vec<u32> = frequent[distinct[0]].tids.clone();
-                        for &pi in &distinct[1..] {
-                            if inter.is_empty() {
-                                break;
+                    let inter: Vec<u32> =
+                        if distinct.len() > 1 && distinct.iter().all(|&i| bitsets[i].is_some()) {
+                            // Branchless word ANDs; materializing ascending
+                            // reproduces the sorted merge's output exactly.
+                            let mut acc = bitsets[distinct[0]].as_ref().unwrap().words().to_vec();
+                            for &pi in &distinct[1..] {
+                                tidset::and_words(&mut acc, bitsets[pi].as_ref().unwrap().words());
+                                vstats.bitset_intersections += 1;
                             }
-                            inter = intersect_sorted(&inter, &frequent[pi].tids);
-                        }
-                        inter
-                    };
+                            tidset::materialize(&acc)
+                        } else {
+                            let mut inter: Vec<u32> = frequent[distinct[0]].tids.clone();
+                            for &pi in &distinct[1..] {
+                                if inter.is_empty() {
+                                    break;
+                                }
+                                inter = intersect_sorted(&inter, &frequent[pi].tids);
+                            }
+                            inter
+                        };
                     vstats.tid_intersection_skips = min_parent_len - inter.len();
                     // The intersection bounds support from above. When it is
                     // already below threshold the candidate cannot be
@@ -542,9 +523,7 @@ pub(crate) fn mine_core<T: TxnSource + ?Sized>(
                     closure_parents.dedup();
                     let inter: Vec<u32> = if closure_parents.is_empty() {
                         inter
-                    } else if cfg.tid_bitsets
-                        && closure_parents.iter().all(|&i| bitsets[i].is_some())
-                    {
+                    } else if closure_parents.iter().all(|&i| bitsets[i].is_some()) {
                         let mut acc = TidBitset::from_sorted(&inter, txn_count).words().to_vec();
                         for &pi in &closure_parents {
                             tidset::and_words(&mut acc, bitsets[pi].as_ref().unwrap().words());
@@ -582,16 +561,11 @@ pub(crate) fn mine_core<T: TxnSource + ?Sized>(
                     for e in candidate.edges() {
                         *need.entry(candidate.edge_label(e).0).or_insert(0) += 1;
                     }
-                    let fps = if cfg.fingerprint_filter {
-                        graph_fingerprints(candidate)
-                    } else {
-                        Vec::new()
-                    };
-                    (Matcher::new(candidate), need, fps)
+                    (Matcher::new(candidate), need)
                 };
                 if cap == 0 {
                     // Propagation disabled: scratch VF2 per transaction.
-                    let (matcher, need, fps) = build_scratch();
+                    let (matcher, need) = build_scratch();
                     for &tid in &inter {
                         let counts = &label_counts[tid as usize];
                         if need
@@ -600,13 +574,8 @@ pub(crate) fn mine_core<T: TxnSource + ?Sized>(
                         {
                             continue;
                         }
-                        let txn = transactions.txn(tid as usize);
-                        if cfg.fingerprint_filter && !may_embed(&fps, &txn) {
-                            vstats.fingerprint_rejects += 1;
-                            continue;
-                        }
                         vstats.iso_tests += 1;
-                        if matcher.matches(&txn) {
+                        if matcher.matches(&transactions.txn(tid as usize)) {
                             tids.push(tid);
                         }
                     }
@@ -706,7 +675,7 @@ pub(crate) fn mine_core<T: TxnSource + ?Sized>(
                     }
                     out
                 };
-                let mut scratch: Option<(Matcher, FxHashMap<u32, usize>, Vec<u64>)> = None;
+                let mut scratch: Option<(Matcher, FxHashMap<u32, usize>)> = None;
                 let mut j = 0usize;
                 let mut exact = true;
                 for (seen, &tid) in inter.iter().enumerate() {
@@ -797,16 +766,12 @@ pub(crate) fn mine_core<T: TxnSource + ?Sized>(
                             if settled {
                                 continue;
                             }
-                            let (matcher, need, fps) = scratch.get_or_insert_with(build_scratch);
+                            let (matcher, need) = scratch.get_or_insert_with(build_scratch);
                             let counts = &label_counts[tid as usize];
                             if need
                                 .iter()
                                 .any(|(l, &k)| counts.get(l).copied().unwrap_or(0) < k)
                             {
-                                continue;
-                            }
-                            if cfg.fingerprint_filter && !may_embed(fps, &txn) {
-                                vstats.fingerprint_rejects += 1;
                                 continue;
                             }
                             vstats.iso_tests += 1;
@@ -881,7 +846,6 @@ pub(crate) fn mine_core<T: TxnSource + ?Sized>(
                     stats.embeddings_extended += vstats.embeddings_extended;
                     stats.embeddings_spilled += vstats.embeddings_spilled;
                     stats.tid_intersection_skips += vstats.tid_intersection_skips;
-                    stats.fingerprint_rejects += vstats.fingerprint_rejects;
                     stats.bitset_intersections += vstats.bitset_intersections;
                     // Session runs log every exactly-counted candidate —
                     // frequent or not — so the next window can re-count

@@ -69,13 +69,6 @@ pub struct NbhdConfig {
     /// every support test is a scratch VF2 search (kept for differential
     /// testing).
     pub embedding_cap: usize,
-    /// Check [`may_embed`] before every scratch VF2 decider. Rejections
-    /// are sound, so the toggle is output-invariant. The fingerprints
-    /// consulted are the *full-graph* per-vertex fingerprints (a frozen
-    /// array load): a neighborhood vertex's true fingerprint is a
-    /// bitwise subset of its full-graph one, so subsumption against the
-    /// superset can only weaken the filter, never unsoundly reject.
-    pub fingerprint_filter: bool,
 }
 
 impl Default for NbhdConfig {
@@ -85,7 +78,6 @@ impl Default for NbhdConfig {
             min_support: Support::Fraction(0.05),
             max_edges: 10,
             embedding_cap: 256,
-            fingerprint_filter: true,
         }
     }
 }
@@ -112,12 +104,6 @@ impl NbhdConfig {
     /// Sets the per-(pattern, center) embedding cap (`0` = scratch only).
     pub fn with_embedding_cap(mut self, cap: usize) -> Self {
         self.embedding_cap = cap;
-        self
-    }
-
-    /// Enables or disables the fingerprint pre-filter.
-    pub fn with_fingerprint_filter(mut self, on: bool) -> Self {
-        self.fingerprint_filter = on;
         self
     }
 }
@@ -418,9 +404,10 @@ impl GraphView for NbhdView<'_> {
     }
 
     fn vertex_fp(&self, v: VertexId) -> u64 {
-        // Full-graph fingerprint (frozen array load): a superset of the
-        // neighborhood-local one in every packed field, so subsumption
-        // checks stay sound (see `NbhdConfig::fingerprint_filter`).
+        // Full-graph fingerprint (frozen array load): a neighborhood
+        // vertex's true fingerprint is a bitwise subset of it in every
+        // packed field, so subsumption against the superset can only
+        // weaken the filter, never unsoundly reject.
         self.fg.vertex_fp(v)
     }
 }
@@ -704,16 +691,9 @@ pub fn mine_frozen(
                                       view: NbhdView<'_>,
                                       c: u32| {
                     let (matcher, fps) = scratch.get_or_insert_with(|| {
-                        (
-                            Matcher::new(candidate),
-                            if cfg.fingerprint_filter {
-                                graph_fingerprints(candidate)
-                            } else {
-                                Vec::new()
-                            },
-                        )
+                        (Matcher::new(candidate), graph_fingerprints(candidate))
                     });
-                    if cfg.fingerprint_filter && !may_embed(fps, &view) {
+                    if !may_embed(fps, &view) {
                         v.fingerprint_rejects += 1;
                         return;
                     }
@@ -998,7 +978,7 @@ mod tests {
     }
 
     #[test]
-    fn propagated_matches_scratch_and_toggles_are_invariant() {
+    fn propagated_matches_scratch_at_every_cap() {
         use tnet_graph::generate::{random_graph, RandomGraphConfig};
         let g = {
             let mut g = random_graph(
@@ -1016,11 +996,7 @@ mod tests {
         };
         let base = mine(&g, &cfg(3));
         assert!(!base.patterns.is_empty());
-        for alt_cfg in [
-            cfg(3).with_embedding_cap(0),
-            cfg(3).with_embedding_cap(1),
-            cfg(3).with_fingerprint_filter(false),
-        ] {
+        for alt_cfg in [cfg(3).with_embedding_cap(0), cfg(3).with_embedding_cap(1)] {
             let alt = mine(&g, &alt_cfg);
             assert_eq!(base.patterns.len(), alt.patterns.len());
             for (a, b) in base.patterns.iter().zip(&alt.patterns) {

@@ -9,7 +9,7 @@
 //! TID intersection reaches into the added transaction region — a
 //! cached pattern's support over the shared region is carried over
 //! verbatim, and retired transactions fall out by restriction. When the
-//! window delta exceeds a churn threshold (or the windows do not
+//! window delta exceeds [`CHURN_THRESHOLD`] (or the windows do not
 //! overlap, as with tumbling windows), the session falls back to a full
 //! re-count, which is simply the stateless miner on the window slice.
 //!
@@ -28,6 +28,12 @@ use tnet_graph::canon::IsoClassMap;
 use tnet_graph::delta::GraphDelta;
 use tnet_graph::frozen::TxnSet;
 use tnet_graph::graph::Graph;
+
+/// `advance` abandons the cache and re-counts the window from scratch
+/// when `delta.churn()` — `(retired + added) / window size` — exceeds
+/// this. Sliding day windows of width 7 / slide 1 sit at ~0.29,
+/// tumbling windows at 2.0.
+const CHURN_THRESHOLD: f64 = 0.5;
 
 /// Incremental-counting context threaded into the level-wise loop.
 /// `cache[edges - 1]` is the **previous window's candidate log**, moved
@@ -166,8 +172,6 @@ struct PrevWindow {
 pub struct MineSession<'a> {
     set: &'a TxnSet,
     cfg: FsgConfig,
-    /// Fall back to a full re-count when `delta.churn()` exceeds this.
-    churn_threshold: f64,
     prev: Option<PrevWindow>,
     /// Cumulative counters across all `advance` calls.
     pub stats: SessionStats,
@@ -180,19 +184,9 @@ impl<'a> MineSession<'a> {
         MineSession {
             set,
             cfg,
-            churn_threshold: 0.5,
             prev: None,
             stats: SessionStats::default(),
         }
-    }
-
-    /// Sets the churn fraction above which `advance` abandons the cache
-    /// and re-counts the window from scratch. `(retired + added) /
-    /// window size`; sliding day windows of width 7 / slide 1 sit at
-    /// ~0.29, tumbling windows at 2.0.
-    pub fn with_churn_threshold(mut self, t: f64) -> MineSession<'a> {
-        self.churn_threshold = t;
-        self
     }
 
     /// Advances the session to the window of transactions `[lo, hi)`
@@ -222,14 +216,10 @@ impl<'a> MineSession<'a> {
         let incremental = match (&self.prev, &delta) {
             (Some(_), Some(d)) => {
                 let (olo, ohi) = d.overlap();
-                ohi > olo && d.churn() <= self.churn_threshold
+                ohi > olo && d.churn() <= CHURN_THRESHOLD
             }
             _ => false,
         };
-        // A session whose threshold can never admit an incremental
-        // window (`< 0`, the driver's full-recount mode) skips
-        // collection entirely — it mines exactly like the stateless
-        // miner, with no logging overhead.
         let ctx = if incremental {
             // The previous log is moved — not rebuilt — into the cache;
             // `lookup` restricts to the overlap and re-bases lazily. By
@@ -245,17 +235,8 @@ impl<'a> MineSession<'a> {
                 recount_skips: AtomicUsize::new(0),
                 log: Mutex::new(Vec::new()),
             }
-        } else if self.churn_threshold >= 0.0 {
-            IncrCtx::collect_only()
         } else {
-            let out = mine_core(&slice, &self.cfg, exec, None)?;
-            self.stats.full_recounts += 1;
-            self.prev = Some(PrevWindow {
-                lo,
-                hi,
-                log: Vec::new(),
-            });
-            return Ok(out);
+            IncrCtx::collect_only()
         };
         let out = mine_core(&slice, &self.cfg, exec, Some(&ctx))?;
         if incremental {
@@ -359,15 +340,24 @@ mod tests {
     }
 
     #[test]
-    fn churn_threshold_forces_fallback() {
+    fn high_churn_forces_fallback() {
         let txns = universe();
         let set = TxnSet::freeze(&txns);
         let exec = Exec::sequential();
-        let mut session = MineSession::new(&set, cfg()).with_churn_threshold(0.01);
+        let mut session = MineSession::new(&set, cfg());
         session.advance(0, 20, &exec).unwrap();
-        session.advance(5, 25, &exec).unwrap();
+        // 8 retired + 8 added over a 20-transaction window: churn 0.8
+        // exceeds the threshold although the windows still overlap.
+        let out = session.advance(8, 28, &exec).unwrap();
+        assert_identical(
+            &out,
+            &mine_source(&set.slice(8, 28), &cfg(), &exec).unwrap(),
+        );
         assert_eq!(session.stats.incremental_windows, 0);
         assert_eq!(session.stats.full_recounts, 2);
+        // At exactly the threshold (5 + 5 over 20) the delta path runs.
+        session.advance(13, 33, &exec).unwrap();
+        assert_eq!(session.stats.incremental_windows, 1);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!
 //! Materializing the AND result ascending yields exactly the sorted
 //! merge's output (both compute the same set, both emit ascending), so
-//! toggling [`crate::FsgConfig::tid_bitsets`] is output-invariant —
-//! pinned by the `prop`-gated differential tests.
+//! the per-join choice is output-invariant — pinned by
+//! `and_matches_sorted_merge` below.
 
 /// A TID outside the declared transaction universe was passed to
 /// [`TidBitset::try_from_sorted`]. Carries both sides of the violated
@@ -123,6 +123,13 @@ mod tests {
         a.iter().copied().filter(|x| b.contains(x)).collect()
     }
 
+    fn sorted_list(len: usize, mut next: impl FnMut() -> u32) -> Vec<u32> {
+        let mut v: Vec<u32> = (0..len).map(|_| next()).collect();
+        v.sort_unstable();
+        v.dedup();
+        v
+    }
+
     #[test]
     fn round_trip_preserves_sorted_list() {
         let tids = vec![0, 3, 63, 64, 65, 200];
@@ -133,7 +140,8 @@ mod tests {
     #[test]
     fn and_matches_sorted_merge() {
         // Deterministic pseudo-random lists across several word
-        // boundaries.
+        // boundaries. The third list makes the AND a multi-parent chain,
+        // as for a candidate with three distinct parents.
         let mut x = 0x2545_F491_4F6C_DD1Du64;
         let mut next = move |m: u32| {
             x ^= x << 13;
@@ -142,22 +150,22 @@ mod tests {
             (x % m as u64) as u32
         };
         for universe in [1usize, 63, 64, 65, 300] {
-            let mut a: Vec<u32> = (0..universe / 2 + 1)
-                .map(|_| next(universe as u32))
-                .collect();
-            let mut b: Vec<u32> = (0..universe / 3 + 1)
-                .map(|_| next(universe as u32))
-                .collect();
-            a.sort_unstable();
-            a.dedup();
-            b.sort_unstable();
-            b.dedup();
+            let u = universe as u32;
+            let a = sorted_list(universe / 2 + 1, || next(u));
+            let b = sorted_list(universe / 3 + 1, || next(u));
+            let c = sorted_list(universe * 3 / 4 + 1, || next(u));
             let mut acc = TidBitset::from_sorted(&a, universe).words().to_vec();
             and_words(&mut acc, TidBitset::from_sorted(&b, universe).words());
             assert_eq!(
                 materialize(&acc),
                 sorted_intersect(&a, &b),
                 "universe={universe}"
+            );
+            and_words(&mut acc, TidBitset::from_sorted(&c, universe).words());
+            assert_eq!(
+                materialize(&acc),
+                sorted_intersect(&sorted_intersect(&a, &b), &c),
+                "universe={universe}, three lists"
             );
         }
     }

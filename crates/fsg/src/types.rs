@@ -52,18 +52,6 @@ pub struct FsgConfig {
     /// scratch VF2 search — the pre-optimization behavior, kept for
     /// differential testing).
     pub embedding_cap: usize,
-    /// Use `u64` bitsets for the all-parents TID intersection when the
-    /// lists are dense enough (see [`crate::tidset::use_bitset`]);
-    /// `false` forces the sorted-merge path everywhere. Both paths
-    /// compute the same set, so this toggle is output-invariant — kept
-    /// for differential testing and the per-technique bench rows.
-    pub tid_bitsets: bool,
-    /// Check per-vertex structural fingerprints
-    /// ([`tnet_graph::fingerprint`]) before every scratch VF2 support
-    /// test; a fingerprint reject proves no embedding exists, so the
-    /// toggle is output-invariant. `false` disables the filter (kept for
-    /// differential testing and the per-technique bench rows).
-    pub fingerprint_filter: bool,
 }
 
 impl Default for FsgConfig {
@@ -73,8 +61,6 @@ impl Default for FsgConfig {
             max_edges: 10,
             memory_budget: None,
             embedding_cap: 256,
-            tid_bitsets: true,
-            fingerprint_filter: true,
         }
     }
 }
@@ -102,18 +88,6 @@ impl FsgConfig {
     /// disables embedding propagation).
     pub fn with_embedding_cap(mut self, cap: usize) -> Self {
         self.embedding_cap = cap;
-        self
-    }
-
-    /// Enables or disables bitset TID intersection.
-    pub fn with_tid_bitsets(mut self, on: bool) -> Self {
-        self.tid_bitsets = on;
-        self
-    }
-
-    /// Enables or disables the fingerprint pre-filter.
-    pub fn with_fingerprint_filter(mut self, on: bool) -> Self {
-        self.fingerprint_filter = on;
         self
     }
 }
@@ -160,10 +134,6 @@ pub struct MiningStats {
     /// Transaction checks avoided by intersecting *all* parents' TID
     /// lists instead of seeding from the single smallest parent.
     pub tid_intersection_skips: usize,
-    /// Scratch VF2 searches skipped because a pattern vertex had no
-    /// fingerprint-compatible transaction vertex
-    /// ([`tnet_graph::fingerprint::may_embed`] said no).
-    pub fingerprint_rejects: usize,
     /// Pairwise bitset AND operations that replaced sorted TID merges in
     /// the all-parents intersection.
     pub bitset_intersections: usize,
@@ -196,7 +166,6 @@ impl MiningStats {
             "fsg.tid_intersection_skips",
             self.tid_intersection_skips as u64,
         );
-        metrics.add("fsg.fingerprint_rejects", self.fingerprint_rejects as u64);
         metrics.add("fsg.bitset_intersections", self.bitset_intersections as u64);
         metrics.record_max("fsg.peak_candidate_bytes", self.peak_candidate_bytes as u64);
         metrics.record_max("fsg.soa_bytes", self.soa_bytes as u64);
@@ -282,12 +251,6 @@ mod tests {
         assert_eq!(c.min_support, Support::Count(3));
         assert_eq!(c.max_edges, 4);
         assert_eq!(c.memory_budget, Some(1 << 20));
-        assert!(
-            c.tid_bitsets && c.fingerprint_filter,
-            "techniques default on"
-        );
-        let off = c.with_tid_bitsets(false).with_fingerprint_filter(false);
-        assert!(!off.tid_bitsets && !off.fingerprint_filter);
     }
 
     #[test]

@@ -55,11 +55,6 @@ pub struct GspanConfig {
     /// extensions are re-verified from scratch. `0` disables propagation
     /// (every support test is a scratch VF2 search).
     pub embedding_cap: usize,
-    /// Check per-vertex structural fingerprints
-    /// ([`tnet_graph::fingerprint`]) before every scratch VF2 support
-    /// test, with the same output-invariant semantics as
-    /// [`tnet_fsg::FsgConfig::fingerprint_filter`].
-    pub fingerprint_filter: bool,
 }
 
 impl Default for GspanConfig {
@@ -69,7 +64,6 @@ impl Default for GspanConfig {
             max_edges: 10,
             memory_budget: None,
             embedding_cap: 256,
-            fingerprint_filter: true,
         }
     }
 }
@@ -192,7 +186,8 @@ pub fn mine_dfs(transactions: &[Graph], cfg: &GspanConfig) -> Result<GspanOutput
 /// then binary-searches candidate edges. The DFS walk itself stays
 /// sequential — the `visited` set is inherently serial — and TIDs are
 /// reassembled in input order, so the output is byte-identical to
-/// [`mine_dfs_arena_with`] and to itself at any thread count.
+/// [`mine_dfs_source`] over the arena slice and to itself at any thread
+/// count.
 ///
 /// # Errors
 /// - [`GspanError::MemoryBudgetExceeded`] on a budget overrun; the
@@ -208,20 +203,10 @@ pub fn mine_dfs_with(
     mine_dfs_source(&frozen, cfg, exec)
 }
 
-/// As [`mine_dfs_with`], but traverses the mutable arena representation
-/// directly instead of freezing a CSR snapshot. Kept for differential
-/// testing and the frozen-vs-arena benchmark; both paths produce
-/// byte-identical output.
-pub fn mine_dfs_arena_with(
-    transactions: &[Graph],
-    cfg: &GspanConfig,
-    exec: &Exec,
-) -> Result<GspanOutput, GspanError> {
-    mine_dfs_source(transactions, cfg, exec)
-}
-
 /// The representation-generic DFS core behind [`mine_dfs_with`] (frozen
-/// [`TxnSet`]) and [`mine_dfs_arena_with`] (`&[Graph]`).
+/// [`TxnSet`]). Passing the arena slice (`&txns[..]`) traverses the
+/// mutable representation directly — the frozen-vs-arena differential
+/// and benchmark use it as the oracle.
 pub fn mine_dfs_source<T: TxnSource + ?Sized>(
     transactions: &T,
     cfg: &GspanConfig,
@@ -297,7 +282,6 @@ pub fn mine_dfs_source<T: TxnSource + ?Sized>(
         max_edges: cfg.max_edges,
         budget: cfg.memory_budget,
         embedding_cap: cfg.embedding_cap,
-        fingerprint_filter: cfg.fingerprint_filter,
         exec,
         visited: IsoClassMap::new(),
         results: Vec::new(),
@@ -353,7 +337,6 @@ struct Walk<'a, T: TxnSource + ?Sized> {
     max_edges: usize,
     budget: Option<usize>,
     embedding_cap: usize,
-    fingerprint_filter: bool,
     exec: &'a Exec,
     visited: IsoClassMap<()>,
     results: Vec<FrequentPattern>,
@@ -425,15 +408,10 @@ impl<T: TxnSource + ?Sized> Walk<'_, T> {
                 // Scratch machinery (matcher + pattern fingerprints) is
                 // only ever needed to settle an unverified "no" from a
                 // truncated (inexact) seed list.
-                let fp_filter = self.fingerprint_filter;
-                let scratch = parent_stores.iter().any(|s| !s.exact).then(|| {
-                    let fps = if fp_filter {
-                        graph_fingerprints(&candidate)
-                    } else {
-                        Vec::new()
-                    };
-                    (Matcher::new(&candidate), fps)
-                });
+                let scratch = parent_stores
+                    .iter()
+                    .any(|s| !s.exact)
+                    .then(|| (Matcher::new(&candidate), graph_fingerprints(&candidate)));
                 let cap = self.embedding_cap;
                 let transactions = self.transactions;
                 let idx: Vec<usize> = (0..parent.tids.len()).collect();
@@ -454,7 +432,7 @@ impl<T: TxnSource + ?Sized> Walk<'_, T> {
                         Grown::Unverified => {
                             let (matcher, fps) =
                                 scratch.as_ref().expect("inexact store implies a matcher");
-                            if fp_filter && !may_embed(fps, &txn) {
+                            if !may_embed(fps, &txn) {
                                 return (false, None, extended, spilled, false, true);
                             }
                             let hit = matcher.matches(&txn);
@@ -490,17 +468,13 @@ impl<T: TxnSource + ?Sized> Walk<'_, T> {
                 (tids, child_stores)
             } else {
                 let matcher = Matcher::new(&candidate);
-                let fps = if self.fingerprint_filter {
-                    graph_fingerprints(&candidate)
-                } else {
-                    Vec::new()
-                };
+                let fps = graph_fingerprints(&candidate);
                 // Support counting is the hot loop; fan the VF2 searches
                 // over the pool and keep matching TIDs in input order.
                 // 0 = fingerprint reject, 1 = VF2 miss, 2 = VF2 hit.
                 let hits = self.exec.par_map(&parent.tids, |&tid| {
                     let txn = self.transactions.txn(tid as usize);
-                    if self.fingerprint_filter && !may_embed(&fps, &txn) {
+                    if !may_embed(&fps, &txn) {
                         return 0u8;
                     }
                     if matcher.matches(&txn) {

@@ -25,8 +25,7 @@ pub mod substructure;
 
 pub use compress::{compress, hierarchical, HierarchyLevel};
 pub use discover::{
-    discover, discover_arena_with, discover_core, discover_with, SubdueConfig, SubdueError,
-    SubdueOutput,
+    discover, discover_core, discover_with, SubdueConfig, SubdueError, SubdueOutput,
 };
 pub use eval::{evaluate, set_cover_value, set_cover_value_counted, EvalMethod, GraphContext};
 pub use inexact::{coalesce_fuzzy, edit_distance_bounded, fuzzy_match};

@@ -47,7 +47,8 @@ pub use flow::{
 use tnet_data::binning::BinScheme;
 use tnet_data::model::Transaction;
 use tnet_exec::Exec;
-use tnet_fsg::{FsgConfig, FsgError, FsgOutput, MineSession, SessionStats};
+use tnet_fsg::{mine_source, FsgConfig, FsgError, FsgOutput, MineSession, SessionStats};
+use tnet_graph::delta::GraphDelta;
 use tnet_graph::frozen::TxnSet;
 use tnet_partition::{unit_partition, Granularity, TemporalError, TemporalOptions, WindowSpec};
 
@@ -90,20 +91,16 @@ pub struct TemporalConfig {
     /// Serve overlapping windows by delta re-counting instead of full
     /// per-window mining. Results are identical either way.
     pub incremental: bool,
-    /// Churn fraction above which an incremental session falls back to
-    /// a full re-count (see [`MineSession::with_churn_threshold`]).
-    pub churn_threshold: f64,
     /// The per-window miner configuration.
     pub fsg: FsgConfig,
 }
 
 impl TemporalConfig {
-    /// Incremental mining with default FSG settings and churn threshold.
+    /// Incremental mining with default FSG settings.
     pub fn new(spec: WindowSpec) -> TemporalConfig {
         TemporalConfig {
             spec,
             incremental: true,
-            churn_threshold: 0.5,
             fsg: FsgConfig::default(),
         }
     }
@@ -160,9 +157,10 @@ impl TemporalRun {
 
 /// Partitions `txns` into units, freezes them once, and mines every
 /// window of `cfg.spec` through one [`MineSession`]. With
-/// `cfg.incremental` unset the churn threshold is forced negative so
-/// every window takes the full re-count path — output is identical
-/// either way; only the wall clock and session counters differ.
+/// `cfg.incremental` unset every window is mined statelessly
+/// ([`mine_source`] on its slice) and counted as a full re-count —
+/// output is identical either way; only the wall clock and session
+/// counters differ.
 ///
 /// # Errors
 /// [`TemporalRunError::Partition`] on invalid dates or window specs,
@@ -177,16 +175,27 @@ pub fn run_windows(
 ) -> Result<TemporalRun, TemporalRunError> {
     let up = unit_partition(txns, scheme, cfg.spec.granularity, opts)?;
     let set = TxnSet::freeze(&up.graphs);
-    let threshold = if cfg.incremental {
-        cfg.churn_threshold
-    } else {
-        -1.0
-    };
-    let mut session = MineSession::new(&set, cfg.fsg.clone()).with_churn_threshold(threshold);
+    let mut session = MineSession::new(&set, cfg.fsg.clone());
+    let mut prev: Option<(usize, usize)> = None;
     let mut windows = Vec::new();
     for (ulo, uhi) in cfg.spec.windows(up.units()) {
         let (lo, hi) = up.txn_range(ulo, uhi);
-        let output = session.advance(lo, hi, exec)?;
+        let output = if cfg.incremental {
+            session.advance(lo, hi, exec)?
+        } else {
+            // Stateless windows still report the same delta volumes a
+            // session would have seen.
+            let s = &mut session.stats;
+            s.windows += 1;
+            s.full_recounts += 1;
+            if let Some(p) = prev {
+                let d = GraphDelta::between(&set, p, (lo, hi));
+                s.delta_txns += d.retired_txns + d.added_txns;
+                s.delta_edges += d.retired_edges + d.added_edges;
+            }
+            prev = Some((lo, hi));
+            mine_source(&set.slice(lo, hi), &cfg.fsg, exec)?
+        };
         windows.push(WindowResult {
             unit_lo: ulo,
             unit_hi: uhi,

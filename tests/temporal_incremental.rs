@@ -13,7 +13,9 @@ use tnet_data::{generate, SynthConfig};
 use tnet_exec::Exec;
 use tnet_fsg::{FsgConfig, Support};
 use tnet_graph::canon::invariant_hash;
-use tnet_partition::{Granularity, TemporalOptions, WindowSpec};
+use tnet_graph::delta::GraphDelta;
+use tnet_graph::frozen::TxnSet;
+use tnet_partition::{unit_partition, Granularity, TemporalOptions, WindowSpec};
 use tnet_temporal::{run_windows, TemporalConfig, TemporalRun};
 
 fn dataset() -> Vec<tnet_data::Transaction> {
@@ -151,4 +153,50 @@ fn incremental_output_is_thread_invariant() {
     }
     // Full re-mining at 8 threads lands on the same bytes too.
     assert_eq!(render(&run(&txns, spec, false, &Exec::new(8))), baseline);
+}
+
+/// The session's fixed churn rule, recomputed from window deltas alone:
+/// a window after the first takes the delta path exactly when it shares
+/// transactions with its predecessor and `churn() <= 0.5`. Tumbling
+/// windows share nothing, so they never do.
+#[test]
+fn incremental_windows_follow_the_churn_rule() {
+    let txns = dataset();
+    let exec = Exec::sequential();
+    let scheme = BinScheme::paper_defaults();
+    let opts = TemporalOptions::default();
+    for (spec, tumbling) in [
+        (WindowSpec::new(Granularity::Day, 7, 1).unwrap(), false),
+        (WindowSpec::new(Granularity::Hour, 48, 24).unwrap(), false),
+        (WindowSpec::new(Granularity::Week, 2, 1).unwrap(), false),
+        (WindowSpec::tumbling(Granularity::Day, 7).unwrap(), true),
+        (WindowSpec::tumbling(Granularity::Hour, 24).unwrap(), true),
+        (WindowSpec::tumbling(Granularity::Week, 2).unwrap(), true),
+    ] {
+        let up = unit_partition(&txns, &scheme, spec.granularity, &opts).unwrap();
+        let set = TxnSet::freeze(&up.graphs);
+        let ranges: Vec<(usize, usize)> = spec
+            .windows(up.units())
+            .into_iter()
+            .map(|(lo, hi)| up.txn_range(lo, hi))
+            .collect();
+        let expected = ranges
+            .windows(2)
+            .filter(|w| {
+                let d = GraphDelta::between(&set, w[0], w[1]);
+                let (olo, ohi) = d.overlap();
+                ohi > olo && d.churn() <= 0.5
+            })
+            .count();
+        let got = run(&txns, spec, true, &exec).session.incremental_windows;
+        assert_eq!(got, expected, "{spec:?}");
+        if tumbling {
+            assert_eq!(got, 0, "{spec:?}: tumbling windows share no transactions");
+        } else {
+            assert!(
+                got > 0,
+                "{spec:?}: sliding windows never hit the delta path"
+            );
+        }
+    }
 }
