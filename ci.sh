@@ -108,8 +108,9 @@ grep -q 'exec.chunk_items' /tmp/tnet_ci_trace.out
 rm -f /tmp/tnet_ci_trace.out
 
 echo "== neighborhood smoke: mine --mode neighborhood, trace, thread invariance"
-# The r-hop neighborhood miner runs on the un-partitioned OD graph; its
-# counters flow through the unified namespace, its pattern output is
+# The r-hop neighborhood miner runs FSG over the un-partitioned OD
+# graph's neighborhoods; its index counters (nbhd.*) and FSG's own
+# (fsg.*) flow through the unified namespace, its pattern output is
 # byte-identical at any thread count, and its trace export round-trips
 # through the new `tnet trace` summarizer.
 NBHD_TRACE=/tmp/tnet_ci_nbhd_trace.json
@@ -119,8 +120,7 @@ NBHD_ARGS=(mine --scale 0.01 --mode neighborhood --radius 1 --support 3 \
     > /tmp/tnet_ci_nbhd.out 2>/dev/null
 grep -q 'frequent neighborhood patterns' /tmp/tnet_ci_nbhd.out
 grep -q 'nbhd.centers' /tmp/tnet_ci_nbhd.out
-grep -q 'nbhd.iso_tests' /tmp/tnet_ci_nbhd.out
-grep -q 'nbhd.fingerprint_rejects' /tmp/tnet_ci_nbhd.out
+grep -q 'fsg.iso_tests' /tmp/tnet_ci_nbhd.out
 "$TNET" "${NBHD_ARGS[@]}" --threads 1 > /tmp/tnet_ci_nbhd_t1.out 2>/dev/null
 "$TNET" "${NBHD_ARGS[@]}" --threads 2 > /tmp/tnet_ci_nbhd_t2.out 2>/dev/null
 "$TNET" "${NBHD_ARGS[@]}" --threads 8 > /tmp/tnet_ci_nbhd_t8.out 2>/dev/null

@@ -419,10 +419,6 @@ fn partition_vs_neighborhood_row(name: &str, scale: f64, seed: u64, samples: usi
         ),
         ("nbhd_centers", JVal::Num(nb.stats.centers as f64)),
         ("nbhd_iso_tests", JVal::Num(nb.stats.iso_tests as f64)),
-        (
-            "nbhd_fingerprint_rejects",
-            JVal::Num(nb.stats.fingerprint_rejects as f64),
-        ),
         ("nbhd_soa_bytes", JVal::Num(nb.stats.soa_bytes as f64)),
     ])
 }

@@ -103,12 +103,8 @@ pub fn run(args: &Args) -> Result<(), CliError> {
         );
         if verbose {
             println!(
-                "support counting: {} iso tests, {} fingerprint rejects, \
-                 {} embeddings extended, {} spilled",
-                out.stats.iso_tests,
-                out.stats.fingerprint_rejects,
-                out.stats.embeddings_extended,
-                out.stats.embeddings_spilled,
+                "support counting: {} iso tests, {} embeddings extended, {} spilled",
+                out.stats.iso_tests, out.stats.embeddings_extended, out.stats.embeddings_spilled,
             );
             println!(
                 "neighborhood index: {} centers, {} member slots, {} edge slots, \

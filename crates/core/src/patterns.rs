@@ -120,19 +120,29 @@ pub fn classify(g: &Graph) -> PatternShape {
 }
 
 fn detect_bow_tie(g: &Graph, vs: &[VertexId]) -> Option<PatternShape> {
-    // Find the unique "waist" edge between two internal vertices.
+    // The waist joins the only two internal vertices.
     let internal: Vec<VertexId> = vs.iter().copied().filter(|&v| g.degree(v) >= 3).collect();
     if internal.len() != 2 {
         return None;
     }
-    let (l, r) = (internal[0], internal[1]);
-    let (l, r) = if g.out_edges(l).any(|e| g.edge_dst(e) == r) {
-        (l, r)
-    } else if g.out_edges(r).any(|e| g.edge_dst(e) == l) {
-        (r, l)
-    } else {
+    let (a, b) = (internal[0], internal[1]);
+    // A waist joined both ways has two candidate orientations, so try
+    // both: vertex numbering must not decide the shape. At most one
+    // passes — a passing orientation needs out-degree 1 on its left
+    // vertex, which is the other orientation's fan-out vertex.
+    bow_tie_with_waist(g, vs, a, b).or_else(|| bow_tie_with_waist(g, vs, b, a))
+}
+
+/// Bow-tie check with the waist edge oriented `l -> r`.
+fn bow_tie_with_waist(
+    g: &Graph,
+    vs: &[VertexId],
+    l: VertexId,
+    r: VertexId,
+) -> Option<PatternShape> {
+    if !g.out_edges(l).any(|e| g.edge_dst(e) == r) {
         return None;
-    };
+    }
     let fan_in = g.in_degree(l);
     let fan_out = g.out_degree(r);
     // Leaves must account for all other vertices, each degree 1.
@@ -233,6 +243,79 @@ mod tests {
                 fan_out: 3
             }
         );
+    }
+
+    /// Every vertex renumbering of `g`: vertices re-added in each
+    /// permuted order, edges kept in insertion order.
+    fn renumberings(g: &Graph) -> Vec<Graph> {
+        let vs: Vec<VertexId> = g.vertices().collect();
+        let mut perms: Vec<Vec<usize>> = vec![Vec::new()];
+        for _ in 0..vs.len() {
+            perms = perms
+                .into_iter()
+                .flat_map(|p| {
+                    (0..vs.len())
+                        .filter(|i| !p.contains(i))
+                        .map(|i| {
+                            let mut q = p.clone();
+                            q.push(i);
+                            q
+                        })
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+        }
+        perms
+            .iter()
+            .map(|order| {
+                let mut h = Graph::new();
+                let mut map = vec![VertexId(0); vs.len()];
+                for &i in order {
+                    map[i] = h.add_vertex(g.vertex_label(vs[i]));
+                }
+                for e in g.edges() {
+                    let (s, d, l) = g.edge(e);
+                    h.add_edge(map[s.index()], map[d.index()], l);
+                }
+                h
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bow_tie_is_independent_of_vertex_numbering() {
+        // Two leaves into L, a waist joined both ways, two leaves out of
+        // R: one orientation is a bow-tie, whichever vertex comes first.
+        let mut two_way = Graph::new();
+        let l = two_way.add_vertex(VLabel(0));
+        let r = two_way.add_vertex(VLabel(0));
+        for _ in 0..2 {
+            let a = two_way.add_vertex(VLabel(0));
+            two_way.add_edge(a, l, ELabel(1));
+            let b = two_way.add_vertex(VLabel(0));
+            two_way.add_edge(r, b, ELabel(1));
+        }
+        two_way.add_edge(l, r, ELabel(2));
+        two_way.add_edge(r, l, ELabel(2));
+        let expect = PatternShape::BowTie {
+            fan_in: 3,
+            fan_out: 3,
+        };
+        for h in renumberings(&two_way) {
+            assert_eq!(classify(&h), expect, "{h:?}");
+        }
+        let fixture = shapes::bow_tie(3, 0, 1, 2);
+        let expect = classify(&fixture);
+        assert_eq!(
+            expect,
+            PatternShape::BowTie {
+                fan_in: 3,
+                fan_out: 3
+            }
+        );
+        for h in renumberings(&fixture) {
+            assert_eq!(classify(&h), expect, "{h:?}");
+        }
     }
 
     #[test]

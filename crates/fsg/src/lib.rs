@@ -8,7 +8,8 @@
 //! ([`extend`]), downward-closure pruning, VF2 support counting with
 //! parent TID lists, iso-class pattern identity. A configurable memory
 //! budget reproduces the paper's §6.1 out-of-memory failure mode as a
-//! typed error.
+//! typed error. The same loop mines one large graph without partitioning
+//! when [`nbhd`] supplies its r-hop neighborhoods as the transactions.
 //!
 //! ```
 //! use tnet_fsg::{mine, FsgConfig, Support};

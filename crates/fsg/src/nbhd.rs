@@ -3,53 +3,36 @@
 //! The paper's Algorithm 1/2 partitions the OD graph only because FSG
 //! needs a transaction set; this module follows Han & Wen's "Mining
 //! Frequent Neighborhood Patterns in Large Labeled Graphs" instead and
-//! mines the single graph in place. The "transactions" are the r-hop
-//! neighborhoods of every vertex: the **support of a pattern is the
-//! number of distinct center vertices whose induced r-hop neighborhood
-//! embeds it**. Support is anti-monotone under one-edge extension (a
-//! neighborhood embedding a child embeds the parent), so the level-wise
-//! growth, embedding propagation, and pre-filters of the FSG path all
-//! transfer.
+//! makes **each vertex's induced r-hop neighborhood a transaction**: the
+//! support of a pattern is the number of distinct center vertices whose
+//! neighborhood embeds it. Support is anti-monotone under one-edge
+//! extension (a neighborhood embedding a child embeds the parent), so
+//! FSG's level-wise loop applies unchanged, with "center" in place of
+//! "TID".
 //!
-//! What is *not* shared with [`crate::miner`]:
+//! This module therefore owns only the transactions. The [`NbhdIndex`]
+//! holds per-center sorted id lists over one shared [`FrozenGraph`] CSR —
+//! no partitioning and no per-neighborhood graph copies. A [`NbhdView`]
+//! adapts one center's `(members, edges)` pair to [`GraphView`] by
+//! filtering the frozen label-sorted adjacency through a membership
+//! binary search, and the index is a [`TxnSource`] whose transaction *i*
+//! is center *i*'s view. [`mine_frozen`] builds the index and hands it to
+//! [`crate::mine_source`]: candidate generation, TID-list (center-list)
+//! intersection, closure pruning, embedding propagation and scratch VF2
+//! are all the FSG path's.
 //!
-//! * no partitioning and no per-transaction graph materialization — the
-//!   only replicated state is the [`NbhdIndex`]: per-center sorted id
-//!   lists over one shared [`FrozenGraph`] CSR. A [`NbhdView`] adapts a
-//!   `(members, edges)` pair to [`GraphView`] by filtering the frozen
-//!   label-sorted adjacency through a membership binary search, so
-//!   pattern growth binary-searches the shared CSR instead of walking
-//!   per-copy adjacency lists;
-//! * candidate generation is **rightmost-first** one-edge extension
-//!   ([`extend_rightmost`]): extensions are proposed from the
-//!   highest-numbered (most recently appended) pattern vertex down,
-//!   against the frequent single-edge vocabulary, and deduplicated by
-//!   isomorphism class. Each surviving class keeps the first (parent,
-//!   [`Extension`]) that produced it, which is what lets support
-//!   counting grow the parent's per-center embedding store instead of
-//!   searching from scratch.
-//!
-//! What *is* reused, per the shared support-counting machinery:
-//! [`may_embed`] fingerprint rejection before every scratch VF2 decider
-//! ([`Matcher`]), and the structure-of-arrays [`EmbStore`] per-center
-//! embedding cache grown via [`grow_store`] — identical semantics to the
-//! transaction path, with "center" in place of "TID".
-//!
-//! Determinism: centers are enumerated in ascending frozen-id order,
-//! level-1 keys are sorted, candidate evaluation fans out over
-//! [`Exec::try_par_map`] (ordered), and all folding walks candidates in
-//! generation order — output is byte-identical at any thread count.
+//! Determinism: centers are enumerated in ascending frozen-id order and
+//! the FSG loop is byte-identical at any thread count, so the output is
+//! too.
 
-use crate::embed::{grow_store, seed_cap, txn_cap, EmbStore, Grown};
-use crate::types::Support;
+use crate::miner::mine_source;
+use crate::types::{FsgConfig, FsgError, Support};
+use tnet_exec::failpoint::Fault;
 use tnet_exec::Exec;
-use tnet_graph::canon::IsoClassMap;
-use tnet_graph::fingerprint::{graph_fingerprints, may_embed};
 use tnet_graph::frozen::FrozenGraph;
 use tnet_graph::graph::{ELabel, EdgeId, Graph, VLabel, VertexId};
-use tnet_graph::hash::{FxHashMap, FxHashSet};
-use tnet_graph::iso::{Extension, Find, Matcher};
-use tnet_graph::view::GraphView;
+use tnet_graph::hash::FxHashSet;
+use tnet_graph::view::{GraphView, TxnSource};
 
 /// Neighborhood-miner configuration.
 #[derive(Clone, Debug)]
@@ -125,8 +108,10 @@ impl NbhdPattern {
     }
 }
 
-/// Per-run instrumentation, folded into the unified metrics namespace
-/// under `nbhd.*` (see [`NbhdStats::record_into`]).
+/// Per-run instrumentation. The index counters are recorded under
+/// `nbhd.*` (see [`NbhdStats::record_into`]); the support-counting
+/// counters are copied from the FSG run, which records them under
+/// `fsg.*` itself.
 #[derive(Clone, Debug, Default)]
 pub struct NbhdStats {
     /// Neighborhoods enumerated (= vertex count of the mined graph).
@@ -140,7 +125,8 @@ pub struct NbhdStats {
     pub candidates_per_level: Vec<usize>,
     /// Frequent patterns surviving at each level.
     pub frequent_per_level: Vec<usize>,
-    /// Scratch VF2 deciders skipped because [`may_embed`] said no.
+    /// Always 0: the FSG loop has no fingerprint filter. Kept so readers
+    /// of the old counter still compile.
     pub fingerprint_rejects: usize,
     /// Scratch VF2 deciders executed.
     pub iso_tests: usize,
@@ -161,21 +147,13 @@ impl NbhdStats {
         self.frequent_per_level.iter().sum()
     }
 
-    /// Folds this run's counters into a [`tnet_obs::MetricsRegistry`]
-    /// under `nbhd.*` names. Totals add; peaks keep their high-water
-    /// mark.
+    /// Folds the index counters into a [`tnet_obs::MetricsRegistry`]
+    /// under `nbhd.*` names. The FSG run has already recorded the
+    /// support-counting counters under `fsg.*`.
     pub fn record_into(&self, metrics: &tnet_obs::MetricsRegistry) {
         metrics.add("nbhd.centers", self.centers as u64);
         metrics.add("nbhd.index_members", self.index_members as u64);
         metrics.add("nbhd.index_edges", self.index_edges as u64);
-        metrics.add("nbhd.levels", self.candidates_per_level.len() as u64);
-        metrics.add("nbhd.candidates", self.total_candidates() as u64);
-        metrics.add("nbhd.frequent", self.total_frequent() as u64);
-        metrics.add("nbhd.fingerprint_rejects", self.fingerprint_rejects as u64);
-        metrics.add("nbhd.iso_tests", self.iso_tests as u64);
-        metrics.add("nbhd.embeddings_extended", self.embeddings_extended as u64);
-        metrics.add("nbhd.embeddings_spilled", self.embeddings_spilled as u64);
-        metrics.record_max("nbhd.soa_bytes", self.soa_bytes as u64);
     }
 }
 
@@ -195,6 +173,8 @@ pub enum NbhdError {
     InvalidRadius,
     /// The execution handle was cancelled mid-run.
     Cancelled,
+    /// An armed failpoint (`fsg::candidate_gen`) injected a fault.
+    Fault(Fault),
 }
 
 impl std::fmt::Display for NbhdError {
@@ -202,6 +182,7 @@ impl std::fmt::Display for NbhdError {
         match self {
             NbhdError::InvalidRadius => write!(f, "neighborhood radius must be at least 1"),
             NbhdError::Cancelled => write!(f, "neighborhood mining run was cancelled"),
+            NbhdError::Fault(fault) => write!(f, "{fault}"),
         }
     }
 }
@@ -402,132 +383,28 @@ impl GraphView for NbhdView<'_> {
         debug_assert!(self.contains(s) && self.contains(d));
         self.fg.has_edge_labeled(s, d, el)
     }
+}
 
-    fn vertex_fp(&self, v: VertexId) -> u64 {
-        // Full-graph fingerprint (frozen array load): a neighborhood
-        // vertex's true fingerprint is a bitwise subset of it in every
-        // packed field, so subsumption against the superset can only
-        // weaken the filter, never unsoundly reject.
-        self.fg.vertex_fp(v)
+/// The neighborhood index as a [`TxnSource`]: transaction *i* is center
+/// *i*'s [`NbhdView`], so a TID list is a center list.
+struct NbhdTxns<'a> {
+    fg: &'a FrozenGraph,
+    index: &'a NbhdIndex,
+}
+
+impl TxnSource for NbhdTxns<'_> {
+    type View<'b>
+        = NbhdView<'b>
+    where
+        Self: 'b;
+
+    fn txn_count(&self) -> usize {
+        self.index.centers()
     }
-}
 
-/// A frequent single-edge vocabulary entry (`is_loop` marks self-loop
-/// classes, whose `src == dst`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct VocabEntry {
-    src: VLabel,
-    label: ELabel,
-    dst: VLabel,
-    is_loop: bool,
-}
-
-/// Generates all one-edge extensions of `pattern` against the frequent
-/// single-edge vocabulary, proposing from the **rightmost** (highest
-/// slot, most recently appended) pattern vertex first, and deduplicates
-/// by isomorphism class. Each class keeps the first `(parent, growth
-/// step)` that produced it, so the kept representative graph is exactly
-/// that parent's clone plus one appended edge — the invariant the
-/// embedding-store growth relies on.
-fn extend_rightmost(
-    pattern: &Graph,
-    vocab: &[VocabEntry],
-    parent: usize,
-    acc: &mut IsoClassMap<(usize, Extension)>,
-) {
-    let vertices: Vec<VertexId> = pattern.vertices().collect();
-    let exists = |s: VertexId, d: VertexId, l: ELabel| {
-        pattern.out_edges(s).any(|e| {
-            let (_, dd, ll) = pattern.edge(e);
-            dd == d && ll == l
-        })
-    };
-    for &v in vertices.iter().rev() {
-        let vl = pattern.vertex_label(v);
-        for ev in vocab {
-            if ev.is_loop {
-                // Self-loop on an existing vertex.
-                if ev.src == vl && !exists(v, v, ev.label) {
-                    let mut g = pattern.clone();
-                    g.add_edge(v, v, ev.label);
-                    acc.entry_or_insert_with(&g, || {
-                        (
-                            parent,
-                            Extension::Close {
-                                src: v,
-                                dst: v,
-                                elabel: ev.label,
-                            },
-                        )
-                    });
-                }
-                continue;
-            }
-            if ev.src == vl {
-                // v --(label)--> new vertex.
-                let mut g = pattern.clone();
-                let nv = g.add_vertex(ev.dst);
-                g.add_edge(v, nv, ev.label);
-                acc.entry_or_insert_with(&g, || {
-                    (
-                        parent,
-                        Extension::NewDst {
-                            src: v,
-                            elabel: ev.label,
-                            vlabel: ev.dst,
-                        },
-                    )
-                });
-                // v --(label)--> existing vertex (cycle-closing), also
-                // rightmost-first. Patterns are simple graphs, so an
-                // already-present (src, dst, label) triple is skipped.
-                for &u in vertices.iter().rev() {
-                    if u == v || pattern.vertex_label(u) != ev.dst || exists(v, u, ev.label) {
-                        continue;
-                    }
-                    let mut g = pattern.clone();
-                    g.add_edge(v, u, ev.label);
-                    acc.entry_or_insert_with(&g, || {
-                        (
-                            parent,
-                            Extension::Close {
-                                src: v,
-                                dst: u,
-                                elabel: ev.label,
-                            },
-                        )
-                    });
-                }
-            }
-            // new vertex --(label)--> v (mirror).
-            if ev.dst == vl {
-                let mut g = pattern.clone();
-                let nv = g.add_vertex(ev.src);
-                g.add_edge(nv, v, ev.label);
-                acc.entry_or_insert_with(&g, || {
-                    (
-                        parent,
-                        Extension::NewSrc {
-                            dst: v,
-                            elabel: ev.label,
-                            vlabel: ev.src,
-                        },
-                    )
-                });
-            }
-        }
+    fn txn(&self, i: usize) -> NbhdView<'_> {
+        self.index.view(self.fg, i)
     }
-}
-
-/// Per-candidate counter deltas and verdict from the parallel stage.
-/// Folding in candidate order keeps output byte-identical to sequential.
-struct Verdict {
-    centers: Vec<u32>,
-    stores: Vec<EmbStore>,
-    fingerprint_rejects: usize,
-    iso_tests: usize,
-    embeddings_extended: usize,
-    embeddings_spilled: usize,
 }
 
 /// Mines frequent neighborhood patterns of `g`: freezes a CSR snapshot
@@ -544,11 +421,14 @@ pub fn mine_neighborhoods(
 }
 
 /// Mines all frequent connected neighborhood patterns of `fg` directly
-/// on the frozen CSR — no partitioning, no per-transaction graphs.
+/// on the frozen CSR — no partitioning, no per-transaction graphs. The
+/// [`NbhdIndex`] is built once, then the FSG miner runs over it with
+/// centers as transactions.
 ///
 /// # Errors
 /// - [`NbhdError::InvalidRadius`] when `cfg.radius == 0`.
 /// - [`NbhdError::Cancelled`] when `exec` is cancelled mid-run.
+/// - [`NbhdError::Fault`] when the `fsg::candidate_gen` failpoint fires.
 pub fn mine_frozen(
     fg: &FrozenGraph,
     cfg: &NbhdConfig,
@@ -560,304 +440,52 @@ pub fn mine_frozen(
     if exec.is_cancelled() {
         return Err(NbhdError::Cancelled);
     }
-    // One candidate per chunk, as in the FSG path: per-candidate cost is
-    // wildly uneven, the finest grain balances best.
-    let exec = &exec.with_chunk_items(1);
     let span_total = exec.span().time("nbhd");
     let span = span_total.span().clone();
-    let mut stats = NbhdStats::default();
-    let n = GraphView::vertex_count(fg);
-    stats.centers = n;
-    let min_support = cfg.min_support.resolve(n);
-    let cap = cfg.embedding_cap;
-
-    // ---- Neighborhood index -------------------------------------------
-    let index_timer = span.time("neighborhoods");
-    let index = NbhdIndex::build(fg, cfg.radius, exec);
-    stats.index_members = index.member_slots();
-    stats.index_edges = index.edge_slots();
-    drop(index_timer);
-
-    // ---- Level 1: single-edge patterns --------------------------------
-    // Keyed by (src label, edge label, dst label, is_loop); sorted for a
-    // hash-order-independent enumeration.
-    type EdgeKey = (u32, u32, u32, bool);
-    let level1_timer = span.time("level1");
-    let mut level1: FxHashMap<EdgeKey, Vec<u32>> = FxHashMap::default();
-    let mut seen: FxHashSet<EdgeKey> = FxHashSet::default();
-    for c in 0..n {
-        let view = index.view(fg, c);
-        seen.clear();
-        for e in GraphView::edges(&view) {
-            let (s, d, l) = GraphView::edge(fg, e);
-            let key = (
-                GraphView::vertex_label(fg, s).0,
-                l.0,
-                GraphView::vertex_label(fg, d).0,
-                s == d,
-            );
-            if seen.insert(key) {
-                level1.entry(key).or_default().push(c as u32);
-            }
-        }
-    }
-    let mut entries: Vec<(EdgeKey, Vec<u32>)> = level1.into_iter().collect();
-    entries.sort_unstable_by_key(|(k, _)| *k);
-    stats.candidates_per_level.push(entries.len());
-    let mut frequent: Vec<NbhdPattern> = Vec::new();
-    let mut vocab: Vec<VocabEntry> = Vec::new();
-    for ((sl, el, dl, is_loop), centers) in entries {
-        if centers.len() < min_support {
-            continue;
-        }
-        let mut g = Graph::new();
-        let s = g.add_vertex(VLabel(sl));
-        if is_loop {
-            g.add_edge(s, s, ELabel(el));
-        } else {
-            let d = g.add_vertex(VLabel(dl));
-            g.add_edge(s, d, ELabel(el));
-        }
-        vocab.push(VocabEntry {
-            src: VLabel(sl),
-            label: ELabel(el),
-            dst: VLabel(dl),
-            is_loop,
-        });
-        frequent.push(NbhdPattern {
-            graph: g,
-            support: centers.len(),
-            centers,
-        });
-    }
-    stats.frequent_per_level.push(frequent.len());
-
-    // Embedding stores for the frontier level, `stores[i][k]` covering
-    // `frequent[i].centers[k]`.
-    let mut stores: Vec<Vec<EmbStore>> = if cap > 0 && cfg.max_edges > 1 {
-        frequent
-            .iter()
-            .map(|p| level1_stores(p, fg, &index, cap, &mut stats.embeddings_spilled))
-            .collect()
-    } else {
-        Vec::new()
+    let index = {
+        let _t = span.time("neighborhoods");
+        NbhdIndex::build(fg, cfg.radius, exec)
     };
-    stats.soa_bytes = stores.iter().flatten().map(|s| s.byte_len()).sum();
-    drop(level1_timer);
-    // Pre-register the per-level phases for scheduling-independent
-    // `--trace` order.
-    span.child("extend");
-    span.child("support_count");
-
-    // ---- Levels 2..max ------------------------------------------------
-    let mut all_frequent: Vec<NbhdPattern> = Vec::new();
-    let mut level = 1usize;
-    while !frequent.is_empty() && level < cfg.max_edges {
-        level += 1;
-        if exec.is_cancelled() {
-            return Err(NbhdError::Cancelled);
-        }
-        let gen_timer = span.time("extend");
-        let mut candidates: IsoClassMap<(usize, Extension)> = IsoClassMap::new();
-        for (idx, p) in frequent.iter().enumerate() {
-            extend_rightmost(&p.graph, &vocab, idx, &mut candidates);
-        }
-        let cand_list: Vec<(Graph, (usize, Extension))> = candidates.into_iter_pairs().collect();
-        stats.candidates_per_level.push(cand_list.len());
-        drop(gen_timer);
-
-        let support_timer = span.time("support_count");
-        let last_level = level == cfg.max_edges;
-        let verdicts = exec
-            .try_par_map(&cand_list, |(candidate, (pidx, ext))| {
-                let parent = &frequent[*pidx];
-                let pstores: &[EmbStore] = if cap > 0 { &stores[*pidx] } else { &[] };
-                let mut v = Verdict {
-                    centers: Vec::new(),
-                    stores: Vec::new(),
-                    fingerprint_rejects: 0,
-                    iso_tests: 0,
-                    embeddings_extended: 0,
-                    embeddings_spilled: 0,
-                };
-                // Scratch decider built lazily: with propagation on, most
-                // candidates never need it.
-                let mut scratch: Option<(Matcher, Vec<u64>)> = None;
-                // Fingerprint pre-filter + scratch VF2 decider for one
-                // center, harvesting seeds mid-run so descendants extend
-                // instead of re-searching.
-                let settle_scratch = |v: &mut Verdict,
-                                      scratch: &mut Option<(Matcher, Vec<u64>)>,
-                                      view: NbhdView<'_>,
-                                      c: u32| {
-                    let (matcher, fps) = scratch.get_or_insert_with(|| {
-                        (Matcher::new(candidate), graph_fingerprints(candidate))
-                    });
-                    if !may_embed(fps, &view) {
-                        v.fingerprint_rejects += 1;
-                        return;
-                    }
-                    v.iso_tests += 1;
-                    if last_level || cap == 0 {
-                        // No descendant will consume a store (last
-                        // level) or stores are disabled: existence
-                        // alone settles support.
-                        if matcher.matches(&view) {
-                            v.centers.push(c);
-                        }
-                        return;
-                    }
-                    // Harvest seeds from the settling search so
-                    // descendants extend instead of re-searching.
-                    let limit = seed_cap().min(txn_cap(cap, &view));
-                    let seeds = matcher.find_unpruned(&view, Find::AtMost(limit));
-                    if !seeds.is_empty() {
-                        v.centers.push(c);
-                        let stride = candidate.vertex_count();
-                        let mut flat = Vec::with_capacity(seeds.len() * stride);
-                        for s in &seeds {
-                            flat.extend_from_slice(s.as_row());
-                        }
-                        v.stores
-                            .push(EmbStore::from_rows(stride, flat, seeds.len() < limit));
-                    }
-                };
-                for (k, &c) in parent.centers.iter().enumerate() {
-                    // Infeasibility early-exit: not enough centers left to
-                    // reach threshold. The partial verdict is discarded by
-                    // the fold below.
-                    if v.centers.len() + (parent.centers.len() - k) < min_support {
-                        break;
-                    }
-                    let view = index.view(fg, c as usize);
-                    if cap == 0 {
-                        settle_scratch(&mut v, &mut scratch, view, c);
-                        continue;
-                    }
-                    match grow_store(
-                        &view,
-                        &pstores[k],
-                        ext,
-                        cap,
-                        last_level,
-                        &mut v.embeddings_extended,
-                        &mut v.embeddings_spilled,
-                    ) {
-                        Grown::Absent => {}
-                        Grown::Unverified => settle_scratch(&mut v, &mut scratch, view, c),
-                        Grown::Witnessed { store } => {
-                            v.centers.push(c);
-                            if let Some(st) = store {
-                                v.stores.push(st);
-                            }
-                        }
-                    }
-                }
-                v
-            })
-            .map_err(|_| NbhdError::Cancelled)?;
-
-        let mut next: Vec<NbhdPattern> = Vec::new();
-        let mut next_stores: Vec<Vec<EmbStore>> = Vec::new();
-        let mut level_soa_bytes = 0usize;
-        for ((candidate, _), verdict) in cand_list.into_iter().zip(verdicts) {
-            stats.fingerprint_rejects += verdict.fingerprint_rejects;
-            stats.iso_tests += verdict.iso_tests;
-            stats.embeddings_extended += verdict.embeddings_extended;
-            stats.embeddings_spilled += verdict.embeddings_spilled;
-            if verdict.centers.len() >= min_support {
-                next.push(NbhdPattern {
-                    support: verdict.centers.len(),
-                    graph: candidate,
-                    centers: verdict.centers,
-                });
-                if cap > 0 {
-                    level_soa_bytes += verdict.stores.iter().map(|s| s.byte_len()).sum::<usize>();
-                    next_stores.push(verdict.stores);
-                }
-            }
-        }
-        stats.soa_bytes = stats.soa_bytes.max(level_soa_bytes);
-        stats.frequent_per_level.push(next.len());
-        all_frequent.extend(std::mem::replace(&mut frequent, next));
-        stores = next_stores;
-        drop(support_timer);
-    }
-    all_frequent.extend(frequent);
-    all_frequent.sort_by(|a, b| {
-        b.support
-            .cmp(&a.support)
-            .then(b.graph.edge_count().cmp(&a.graph.edge_count()))
-    });
+    let fsg_cfg = FsgConfig {
+        min_support: cfg.min_support,
+        max_edges: cfg.max_edges,
+        memory_budget: None,
+        embedding_cap: cfg.embedding_cap,
+    };
+    let out = mine_source(
+        &NbhdTxns { fg, index: &index },
+        &fsg_cfg,
+        &exec.with_span(span),
+    )
+    .map_err(|e| match e {
+        FsgError::Fault(fault) => NbhdError::Fault(fault),
+        // The budget is off (`memory_budget: None`), and a budget abort
+        // cancels the handle before it returns anyway.
+        FsgError::Cancelled | FsgError::MemoryBudgetExceeded { .. } => NbhdError::Cancelled,
+    })?;
+    let stats = NbhdStats {
+        centers: index.centers(),
+        index_members: index.member_slots(),
+        index_edges: index.edge_slots(),
+        candidates_per_level: out.stats.candidates_per_level,
+        frequent_per_level: out.stats.frequent_per_level,
+        fingerprint_rejects: 0,
+        iso_tests: out.stats.iso_tests,
+        embeddings_extended: out.stats.embeddings_extended,
+        embeddings_spilled: out.stats.embeddings_spilled,
+        soa_bytes: out.stats.soa_bytes,
+    };
     stats.record_into(exec.metrics());
-    Ok(NbhdOutput {
-        patterns: all_frequent,
-        stats,
-    })
-}
-
-/// Enumerates all embeddings of a frequent single-edge pattern in each
-/// supporting center's neighborhood — the neighborhood analogue of
-/// [`crate::embed::level1_store`], aligned with `p.centers`.
-fn level1_stores(
-    p: &NbhdPattern,
-    fg: &FrozenGraph,
-    index: &NbhdIndex,
-    cap: usize,
-    spilled: &mut usize,
-) -> Vec<EmbStore> {
-    let e = p.graph.edges().next().expect("level-1 pattern has an edge");
-    let (ps, pd, el) = p.graph.edge(e);
-    let is_loop = ps == pd;
-    let sl = p.graph.vertex_label(ps);
-    let dl = p.graph.vertex_label(pd);
-    let stride = if is_loop { 1 } else { 2 };
-    p.centers
-        .iter()
-        .map(|&c| {
-            let view = index.view(fg, c as usize);
-            let cap = txn_cap(cap, &view);
-            let mut store = EmbStore::new(stride, true);
-            for te in GraphView::edges(&view) {
-                let (ts, td, tl) = GraphView::edge(fg, te);
-                if tl != el {
-                    continue;
-                }
-                if is_loop {
-                    if ts != td || GraphView::vertex_label(fg, ts) != sl {
-                        continue;
-                    }
-                    store.push_row(&[ts]);
-                } else {
-                    if ts == td
-                        || GraphView::vertex_label(fg, ts) != sl
-                        || GraphView::vertex_label(fg, td) != dl
-                    {
-                        continue;
-                    }
-                    store.push_row(&[ts, td]);
-                }
-                // The mined graph is simple (dedup'd), and induced
-                // neighborhoods of a simple graph stay simple — each edge
-                // is a distinct vertex mapping.
-                if store.len() > cap {
-                    break;
-                }
-            }
-            if store.len() > cap {
-                *spilled += 1;
-                store.exact = false;
-                let keep = seed_cap().min(cap);
-                let flat: Vec<VertexId> = store
-                    .rows()
-                    .take(keep)
-                    .flat_map(|r| r.iter().copied())
-                    .collect();
-                store = EmbStore::from_rows(stride, flat, false);
-            }
-            store
+    let patterns = out
+        .patterns
+        .into_iter()
+        .map(|p| NbhdPattern {
+            graph: p.graph,
+            support: p.support,
+            centers: p.tids,
         })
-        .collect()
+        .collect();
+    Ok(NbhdOutput { patterns, stats })
 }
 
 #[cfg(test)]
@@ -991,6 +619,16 @@ mod tests {
                 },
                 17,
             );
+            // A hub with eight same-labeled spokes: its neighborhood
+            // holds far more two-spoke embeddings than edges, so a tiny
+            // cap must spill there.
+            let vs: Vec<VertexId> = g.vertices().collect();
+            let hub = g.add_vertex(g.vertex_label(vs[0]));
+            for &v in &vs[..8] {
+                let spoke = g.add_vertex(g.vertex_label(v));
+                g.add_edge(hub, spoke, ELabel(0));
+                g.add_edge(spoke, v, ELabel(1));
+            }
             g.dedup_edges();
             g
         };

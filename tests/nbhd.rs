@@ -1,16 +1,19 @@
 //! Differential suite for the r-hop neighborhood miner: byte-identical
-//! output at every thread count, and agreement with partition+FSG on
+//! output at every thread count, agreement with partition+FSG on
 //! workloads where the two support definitions provably coincide (the
 //! radius covers each component, so a center's neighborhood is exactly
-//! its component).
+//! its component), and agreement with FSG over every neighborhood copied
+//! out as a plain graph.
 
 use tnet_core::pipeline::Pipeline;
 use tnet_data::od_graph::{EdgeLabeling, VertexLabeling};
 use tnet_exec::Exec;
-use tnet_fsg::{mine, mine_neighborhoods, FsgConfig, NbhdConfig, NbhdOutput, Support};
+use tnet_fsg::{mine, mine_neighborhoods, FsgConfig, NbhdConfig, NbhdIndex, NbhdOutput, Support};
+use tnet_graph::canon::IsoClassMap;
 use tnet_graph::generate::shapes;
-use tnet_graph::graph::Graph;
+use tnet_graph::graph::{EdgeId, Graph};
 use tnet_graph::iso::are_isomorphic;
+use tnet_graph::view::{edge_subgraph, GraphView};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -174,5 +177,63 @@ fn agreement_with_fsg_when_radius_covers_each_component() {
             "support scaling violated for {:?}",
             fp.graph
         );
+    }
+}
+
+/// The oracle: every center's neighborhood copied out as an ordinary
+/// arena graph (transaction *i* = center *i*) and mined by plain FSG.
+/// Supports and center lists must equal the neighborhood miner's, which
+/// reads the same neighborhoods through `NbhdView` over the shared CSR.
+#[test]
+fn matches_fsg_over_neighborhoods_copied_out_as_graphs() {
+    let g = od_graph();
+    let fg = g.freeze();
+    let exec = Exec::new(2);
+    for radius in [1, 2] {
+        let index = NbhdIndex::build(&fg, radius, &exec);
+        let txns: Vec<Graph> = (0..index.centers())
+            .map(|c| {
+                let view = index.view(&fg, c);
+                let edges: Vec<EdgeId> = GraphView::edges(&view).collect();
+                edge_subgraph(&view, &edges).0
+            })
+            .collect();
+        for cap in [256, 1, 0] {
+            let nbhd = mine_neighborhoods(
+                &g,
+                &NbhdConfig::default()
+                    .with_radius(radius)
+                    .with_support(Support::Count(5))
+                    .with_max_edges(3)
+                    .with_embedding_cap(cap),
+                &exec,
+            )
+            .unwrap();
+            let fsg = mine(
+                &txns,
+                &FsgConfig::default()
+                    .with_support(Support::Count(5))
+                    .with_max_edges(3)
+                    .with_embedding_cap(cap),
+            )
+            .unwrap();
+            assert!(!nbhd.patterns.is_empty(), "radius {radius}, cap {cap}");
+            assert_eq!(
+                nbhd.patterns.len(),
+                fsg.patterns.len(),
+                "radius {radius}, cap {cap}"
+            );
+            let mut oracle: IsoClassMap<(usize, Vec<u32>)> = IsoClassMap::new();
+            for p in fsg.patterns {
+                oracle.insert(p.graph, (p.support, p.tids));
+            }
+            for p in &nbhd.patterns {
+                let (support, tids) = oracle.get(&p.graph).unwrap_or_else(|| {
+                    panic!("radius {radius}, cap {cap}: no FSG match for {:?}", p.graph)
+                });
+                assert_eq!(p.support, *support, "radius {radius}, cap {cap}");
+                assert_eq!(&p.centers, tids, "radius {radius}, cap {cap}");
+            }
+        }
     }
 }

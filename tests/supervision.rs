@@ -11,6 +11,8 @@ use tnet_core::supervisor::{run_section, SectionCtx, SectionStatus, SupervisorCo
 use tnet_core::Effort;
 use tnet_exec::failpoint;
 use tnet_exec::Exec;
+use tnet_fsg::{mine_neighborhoods, NbhdConfig, NbhdError, Support};
+use tnet_graph::generate::shapes;
 use tnet_graph::graph::{ELabel, Graph, VLabel};
 use tnet_subdue::{discover_with, SubdueConfig};
 
@@ -167,6 +169,22 @@ fn injected_fsg_error_fails_the_temporal_section() {
     assert!(out
         .text
         .contains("=== E16: temporal windows and flow patterns ==="));
+}
+
+/// The neighborhood miner runs FSG's level loop, so an armed
+/// `fsg::candidate_gen` fires there too. It must surface as a typed
+/// fault, not as a cancellation or a panic.
+#[test]
+fn injected_fsg_error_is_a_typed_neighborhood_fault() {
+    let _g = ArmGuard::arm("fsg::candidate_gen=err");
+    let g = shapes::hub_and_spoke(4, 0, 1);
+    let cfg = NbhdConfig::default()
+        .with_support(Support::Count(1))
+        .with_max_edges(3);
+    match mine_neighborhoods(&g, &cfg, &Exec::new(2)) {
+        Err(NbhdError::Fault(fault)) => assert_eq!(fault.site, "fsg::candidate_gen"),
+        other => panic!("expected an injected fault, got {other:?}"),
+    }
 }
 
 #[test]
