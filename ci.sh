@@ -107,6 +107,14 @@ grep -q 'fsg.bitset_intersections' /tmp/tnet_ci_trace.out
 grep -q 'exec.chunk_items' /tmp/tnet_ci_trace.out
 rm -f /tmp/tnet_ci_trace.out
 
+echo "== seed-2 smoke: paper-scale mining finishes on the hub-heavy seed"
+# Synthesis seed 2 at paper scale grows hub transactions where a
+# negative VF2 decision can try every spoke assignment. The matcher's
+# core-first plan and label-count domination keep the whole command
+# (about 12 s of it synthesis) well inside the bound; a plan that
+# permutes twin spokes before a rare edge does not finish in it.
+timeout 120 "$TNET" mine --scale 1 --seed 2 --threads 2 > /dev/null
+
 echo "== neighborhood smoke: mine --mode neighborhood, trace, thread invariance"
 # The r-hop neighborhood miner runs FSG over the un-partitioned OD
 # graph's neighborhoods; its index counters (nbhd.*) and FSG's own

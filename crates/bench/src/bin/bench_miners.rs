@@ -57,6 +57,13 @@ const FSG_DEFAULT_ISO_GATE: usize = 116;
 /// catching a representation-level slowdown).
 const SUPPORT_COUNT_RATIO_GATE: f64 = 1.5;
 
+/// `--validate` gate on the seed-sensitivity row (full reports): the
+/// slower synthesis seed's support counting may take at most this
+/// multiple of the faster seed's, as a ratio within one process. Cost
+/// that hinges on a handful of expensive negative VF2 decisions shows as
+/// a ratio far above it.
+const SEED_SENSITIVITY_GATE: f64 = 3.0;
+
 /// Historical baselines recorded on the development host (best of
 /// three), kept in the report so the perf trajectory is visible without
 /// digging through git history. The `scratch` generation predates
@@ -260,6 +267,85 @@ fn subdue_row(scale: f64, seed: u64, vertices: usize, samples: usize) -> JVal {
             JVal::Num(out.stats.patterns_derived as f64),
         ),
         ("best", JVal::Num(out.best.len() as f64)),
+    ])
+}
+
+/// Sum of the nanoseconds of every span labeled `label` in the tree.
+fn span_nanos(node: &tnet_obs::SpanNode, label: &str) -> u64 {
+    let own = if node.label == label { node.nanos } else { 0 };
+    own + node
+        .children
+        .iter()
+        .map(|c| span_nanos(c, label))
+        .sum::<u64>()
+}
+
+/// Seed sensitivity of Algorithm 1 (`tnet mine` defaults — OD_GW,
+/// breadth-first, 16 partitions, 2 repetitions, support 5, max 5 edges —
+/// at scale 0.2 on one thread): the same job on two synthesis seeds.
+/// Records best-of-N `support_count` span time and the deterministic
+/// `fsg.iso_nodes_max` (search nodes of the most expensive scratch VF2
+/// call) per seed, and the slower seed's time over the faster's.
+fn seed_sensitivity_row(samples: usize) -> JVal {
+    let cfg = FsgConfig::default()
+        .with_support(Support::Count(5))
+        .with_max_edges(5)
+        .with_memory_budget(512 << 20);
+    let mut rows = Vec::new();
+    let mut times = Vec::new();
+    for seed in [42u64, 2] {
+        let p = Pipeline::synthetic(0.2, seed);
+        let mut g = p
+            .od_graph(EdgeLabeling::GrossWeight, VertexLabeling::Uniform)
+            .graph;
+        g.dedup_edges();
+        let mut best_ms = f64::INFINITY;
+        let mut counters = (0, 0, 0);
+        let mut patterns = 0;
+        for _ in 0..samples {
+            let tracer = Tracer::new("seed_sensitivity");
+            let registry = MetricsRegistry::new();
+            let exec = Exec::new(1).with_obs(tracer.root(), registry.clone());
+            patterns = mine_single_graph(&g, 16, 2, Strategy::BreadthFirst, 42, &exec, |t, e| {
+                mine_with(t, &cfg, e)
+                    .map(|out| {
+                        out.patterns
+                            .into_iter()
+                            .map(|p| (p.graph, p.support))
+                            .collect()
+                    })
+                    .unwrap_or_default()
+            })
+            .len();
+            best_ms = best_ms.min(span_nanos(&tracer.snapshot(), "support_count") as f64 / 1e6);
+            counters = (
+                registry.get("fsg.iso_tests"),
+                registry.get("fsg.iso_nodes"),
+                registry.get("fsg.iso_nodes_max"),
+            );
+        }
+        println!(
+            "seed_sensitivity/seed{seed}: support_count best {best_ms:.3} ms, \
+             iso_nodes_max {} ({samples} samples)",
+            counters.2
+        );
+        times.push(best_ms);
+        rows.push(JVal::obj([
+            ("seed", JVal::Num(seed as f64)),
+            ("support_count_ms", JVal::Num(best_ms)),
+            ("iso_tests", JVal::Num(counters.0 as f64)),
+            ("iso_nodes", JVal::Num(counters.1 as f64)),
+            ("iso_nodes_max", JVal::Num(counters.2 as f64)),
+            ("patterns", JVal::Num(patterns as f64)),
+        ]));
+    }
+    let (fast, slow) = (times[0].min(times[1]), times[0].max(times[1]));
+    JVal::obj([
+        ("scale", JVal::Num(0.2)),
+        ("max_edges", JVal::Num(5.0)),
+        ("threads", JVal::Num(1.0)),
+        ("seeds", JVal::Arr(rows)),
+        ("slow_over_fast", JVal::Num(slow / fast.max(1e-9))),
     ])
 }
 
@@ -695,6 +781,22 @@ fn validate(path: &str) -> Result<(), String> {
             }
         }
     }
+    if !is_smoke {
+        let row = doc
+            .get("seed_sensitivity")
+            .ok_or("full report has no 'seed_sensitivity' row")?;
+        match row.get("seeds") {
+            Some(JVal::Arr(seeds)) if seeds.len() == 2 => {}
+            _ => return Err("seed_sensitivity row does not carry two seeds".into()),
+        }
+        let ratio = num(row, "slow_over_fast")?;
+        if ratio > SEED_SENSITIVITY_GATE {
+            return Err(format!(
+                "REGRESSION — seed_sensitivity slow_over_fast = {ratio:.2}, gate is \
+                 {SEED_SENSITIVITY_GATE}: support counting cost depends on the synthesis seed"
+            ));
+        }
+    }
     if !is_smoke && max_scale < 10.0 {
         return Err(format!(
             "full report's partition_vs_neighborhood block has no ≥10× scaled row \
@@ -790,6 +892,7 @@ fn main() -> ExitCode {
         ));
     }
     let temporal_rows = temporal_incremental_rows(opts.seed, opts.smoke, samples);
+    let seed_sensitivity = (!opts.smoke).then(|| seed_sensitivity_row(samples));
     let subdue_vertices = if opts.smoke { 25 } else { 50 };
     let subdue_rows = vec![subdue_row(0.015, opts.seed, subdue_vertices, samples)];
 
@@ -807,7 +910,7 @@ fn main() -> ExitCode {
     let trace = traced_block(&default_txns, &subdue_graph);
     let disabled_ns = disabled_span_ns_per_op();
 
-    let doc = JVal::obj([
+    let mut doc = JVal::obj([
         ("schema", JVal::Str("tnet-bench-miners/v1".into())),
         ("seed", JVal::Num(opts.seed as f64)),
         ("smoke", JVal::Bool(opts.smoke)),
@@ -860,6 +963,9 @@ fn main() -> ExitCode {
             ]),
         ),
     ]);
+    if let (Some(row), JVal::Obj(fields)) = (seed_sensitivity, &mut doc) {
+        fields.push(("seed_sensitivity".into(), row));
+    }
     if let Err(e) = std::fs::write(&opts.out, doc.pretty()) {
         eprintln!("bench_miners: cannot write {}: {e}", opts.out);
         return ExitCode::FAILURE;

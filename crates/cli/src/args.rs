@@ -1,6 +1,7 @@
-//! Minimal hand-rolled argument parsing: `--key value` flags and
-//! positional arguments, with typed accessors and helpful errors. No
-//! external dependency; the option surface is small and fixed.
+//! Minimal hand-rolled argument parsing: `--key value` flags, with typed
+//! accessors and helpful errors. No command takes positional arguments;
+//! they are parsed only so that [`Args::ensure_known`] can reject them.
+//! No external dependency; the option surface is small and fixed.
 
 use std::collections::HashMap;
 use tnet_exec::{Exec, Threads};
@@ -11,6 +12,8 @@ use tnet_exec::{Exec, Threads};
 pub struct Args {
     pub command: String,
     pub positional: Vec<String>,
+    /// `--help` or `-h` appeared (as the command or after it).
+    pub help: bool,
     options: HashMap<String, String>,
 }
 
@@ -35,11 +38,14 @@ impl Args {
             .ok_or_else(|| ArgError("missing subcommand; try `tnet help`".into()))?
             .clone();
         let mut args = Args {
+            help: command == "--help" || command == "-h",
             command,
             ..Default::default()
         };
         while let Some(tok) = it.next() {
-            if let Some(key) = tok.strip_prefix("--") {
+            if tok == "--help" || tok == "-h" {
+                args.help = true;
+            } else if let Some(key) = tok.strip_prefix("--") {
                 // `--trace` is a valueless switch: it never consumes the
                 // next token, so `tnet mine --trace --support 5` parses
                 // naturally (everything else stays `--key value`).
@@ -115,8 +121,15 @@ impl Args {
         }
     }
 
-    /// Rejects unknown options (call after reading the known set).
+    /// Rejects unknown options and any positional argument (call after
+    /// reading the known set).
     pub fn ensure_known(&self, known: &[&str]) -> Result<(), ArgError> {
+        if let Some(stray) = self.positional.first() {
+            return Err(ArgError(format!(
+                "unexpected argument '{stray}' for `{}`; options take the form --key value",
+                self.command
+            )));
+        }
         for key in self.options.keys() {
             if !known.contains(&key.as_str()) {
                 return Err(ArgError(format!(
@@ -190,6 +203,28 @@ mod tests {
         assert!(a.exec().is_err());
         let a = Args::parse(&argv("mine --threads lots")).unwrap();
         assert!(a.exec().is_err());
+    }
+
+    #[test]
+    fn help_is_a_switch_anywhere() {
+        for line in [
+            "mine --help",
+            "mine -h",
+            "-h",
+            "--help",
+            "mine --support 5 --help",
+        ] {
+            let a = Args::parse(&argv(line)).unwrap();
+            assert!(a.help, "{line}");
+        }
+        assert!(!Args::parse(&argv("mine --support 5")).unwrap().help);
+    }
+
+    #[test]
+    fn positional_arguments_rejected() {
+        let a = Args::parse(&argv("mine stray --support 5")).unwrap();
+        let e = a.ensure_known(&["support"]).unwrap_err();
+        assert!(e.0.contains("unexpected argument 'stray'"), "{e}");
     }
 
     #[test]

@@ -21,11 +21,11 @@ pub fn run(args: &Args) -> Result<(), CliError> {
         File::create(&out).map_err(|e| CliError::Runtime(format!("cannot write {out}: {e}")))?;
     write_csv(&ds.transactions, BufWriter::new(file))
         .map_err(|e| CliError::Runtime(format!("write failed: {e}")))?;
-    println!(
+    outln!(
         "wrote {} transactions to {out} (scale {scale}, seed {seed})",
         ds.transactions.len()
     );
-    println!(
+    outln!(
         "planted structures: {} hub lanes, {} chain lanes",
         ds.planted_hub_pairs.len(),
         ds.planted_chain_pairs.len()

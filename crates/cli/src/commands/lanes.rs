@@ -17,7 +17,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
         "min-occurrences",
     ])?;
     let txns = load_transactions(args)?;
-    println!("{}", run_periodic(&txns));
+    outln!("{}", run_periodic(&txns));
     let cfg = PathConfig {
         min_sep: 0,
         max_sep: args.get_parsed_or("max-sep", 3)?,
@@ -25,7 +25,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
         min_occurrences: args.get_parsed_or("min-occurrences", 3)?,
         max_instances: 1_000_000,
     };
-    println!("{}", run_paths(&txns, &cfg));
+    outln!("{}", run_paths(&txns, &cfg));
     Ok(())
 }
 

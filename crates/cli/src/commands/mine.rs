@@ -78,7 +78,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
     };
     let mut g = od.graph;
     g.dedup_edges();
-    println!(
+    outln!(
         "{} graph: {} vertices, {} edges (deduplicated)",
         labeling.name(),
         g.vertex_count(),
@@ -95,18 +95,20 @@ pub fn run(args: &Args) -> Result<(), CliError> {
             .with_max_edges(max_edges);
         let out = tnet_fsg::mine_neighborhoods(&g, &cfg, &exec)
             .map_err(|e| CliError::Runtime(format!("neighborhood mining failed: {e}")))?;
-        println!(
+        outln!(
             "{} frequent neighborhood patterns (radius {radius}, support {support}, \
              {} centers)",
             out.patterns.len(),
             out.stats.centers
         );
         if verbose {
-            println!(
+            outln!(
                 "support counting: {} iso tests, {} embeddings extended, {} spilled",
-                out.stats.iso_tests, out.stats.embeddings_extended, out.stats.embeddings_spilled,
+                out.stats.iso_tests,
+                out.stats.embeddings_extended,
+                out.stats.embeddings_spilled,
             );
-            println!(
+            outln!(
                 "neighborhood index: {} centers, {} member slots, {} edge slots, \
                  {} peak SoA embedding bytes",
                 out.stats.centers,
@@ -163,14 +165,14 @@ pub fn run(args: &Args) -> Result<(), CliError> {
                     Err(_) => Vec::new(),
                 },
             );
-        println!(
+        outln!(
             "{} frequent patterns ({} partitioning, {} partitions, support {support})",
             patterns.len(),
             strategy.name(),
             partitions
         );
         if verbose {
-            println!(
+            outln!(
                 "support counting: {} iso tests, {} embeddings extended, {} spilled, \
                  {} transactions skipped by TID intersection",
                 iso_tests.load(Ordering::Relaxed),
@@ -178,7 +180,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
                 embeddings_spilled.load(Ordering::Relaxed),
                 tid_skips.load(Ordering::Relaxed),
             );
-            println!(
+            outln!(
                 "data layout: {} bitset intersections, {} peak SoA embedding bytes",
                 bitset_intersections.load(Ordering::Relaxed),
                 soa_bytes.load(Ordering::Relaxed),
@@ -191,7 +193,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
         frozen_delta.publish(&mut |name, v| o.registry().add(name, v));
     }
     if verbose {
-        println!(
+        outln!(
             "frozen graphs: {} freezes, {} CSR bytes, {} fingerprint bytes, \
              {} adjacency binary searches",
             frozen_delta.freeze_count,

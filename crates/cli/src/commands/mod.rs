@@ -87,12 +87,12 @@ pub fn emit_trace(
     registry: &MetricsRegistry,
     json_path: Option<&str>,
 ) -> Result<(), CliError> {
-    print!("{}", render_trace(root, registry));
+    out!("{}", render_trace(root, registry));
     if let Some(path) = json_path {
         let doc = tnet_obs::json::trace_to_json(root, &registry.snapshot());
         std::fs::write(path, doc.pretty())
             .map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))?;
-        println!("trace json written to {path}");
+        outln!("trace json written to {path}");
     }
     Ok(())
 }
@@ -141,16 +141,16 @@ pub fn report_patterns(
             })
             .map(|(_, p)| p)
             .collect();
-        println!("{} after maximal filtering", patterns.len());
+        outln!("{} after maximal filtering", patterns.len());
     }
     patterns.sort_by(|a, b| {
         interestingness(&b.pattern, b.support)
             .total()
             .total_cmp(&interestingness(&a.pattern, a.support).total())
     });
-    println!("top {top} by interestingness:");
+    outln!("top {top} by interestingness:");
     for p in patterns.iter().take(top) {
-        println!(
+        outln!(
             "  support {:>5}  {} edges  {:<14} score {:.0}",
             p.support,
             p.pattern.edge_count(),
@@ -167,7 +167,7 @@ pub fn report_patterns(
             std::fs::write(&path, tnet_graph::dot::to_dot(&p.pattern, &name))
                 .map_err(|e| CliError::Runtime(format!("cannot write {}: {e}", path.display())))?;
         }
-        println!("wrote {} .dot files to {dir}", patterns.len().min(top));
+        outln!("wrote {} .dot files to {dir}", patterns.len().min(top));
     }
     Ok(())
 }

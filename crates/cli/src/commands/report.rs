@@ -70,7 +70,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
         Pipeline::synthetic(scale, seed)
     };
     let outcome = pipeline.full_report_supervised(scale, seed, &exec, &cfg);
-    println!("{}", outcome.text);
+    outln!("{}", outcome.text);
     // Observability only — stderr, so the report text stays byte-stable.
     eprintln!("[exec] {} threads: {}", exec.threads(), exec.counters());
     if outcome.ok + outcome.degraded == 0 {
@@ -83,8 +83,8 @@ pub fn run(args: &Args) -> Result<(), CliError> {
     if with_extensions {
         let _t = exec.span().time("extensions");
         let txns = pipeline.transactions();
-        println!("{}", run_periodic(txns));
-        println!(
+        outln!("{}", run_periodic(txns));
+        outln!(
             "{}",
             run_paths(
                 txns,
@@ -97,7 +97,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
                 },
             )
         );
-        println!("{}", run_events(txns));
+        outln!("{}", run_events(txns));
     }
     drop(total);
     if let Some(o) = &obs {

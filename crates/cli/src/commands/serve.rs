@@ -92,7 +92,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
         durability,
     };
     let mut handle = tnet_serve::start(cfg)?;
-    println!("serving on {}", handle.addr());
+    outln!("serving on {}", handle.addr());
     if let Some(path) = args.get("port-file") {
         std::fs::write(path, format!("{}\n", handle.addr().port()))
             .map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))?;
@@ -127,7 +127,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
             super::emit_trace(&snapshot, handle.registry(), args.get("trace-json"))?;
         }
     }
-    println!(
+    outln!(
         "shutdown complete ({} queries served)",
         handle.registry().get("serve.queries")
     );

@@ -9,7 +9,7 @@ use tnet_data::stats::dataset_stats;
 pub fn run(args: &Args) -> Result<(), CliError> {
     args.ensure_known(&["input", "scale", "seed"])?;
     let txns = load_transactions(args)?;
-    print!("{}", dataset_stats(&txns));
+    out!("{}", dataset_stats(&txns));
     Ok(())
 }
 

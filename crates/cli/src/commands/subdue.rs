@@ -59,7 +59,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
         let _t = exec.span().time("build_od_graph");
         truncated_structural_graph(&txns, &scheme, labeling, vertices)
     };
-    println!(
+    outln!(
         "{} truncated graph: {} vertices, {} edges; {} evaluation",
         labeling.name(),
         g.vertex_count(),
@@ -69,11 +69,13 @@ pub fn run(args: &Args) -> Result<(), CliError> {
 
     if passes <= 1 {
         let out = discover_with(&g, &cfg, &exec)?;
-        println!(
+        outln!(
             "expanded {} substructures, evaluated {}, runtime {:?}",
-            out.expanded, out.evaluated, out.runtime
+            out.expanded,
+            out.evaluated,
+            out.runtime
         );
-        println!(
+        outln!(
             "instances extended {}, spilled {}, patterns derived {}, fingerprint rejects {}",
             out.stats.embeddings_extended,
             out.stats.embeddings_spilled,
@@ -81,7 +83,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
             out.stats.fingerprint_rejects
         );
         for (i, sub) in out.best.iter().enumerate() {
-            println!(
+            outln!(
                 "#{}: {} edges / {} vertices, {} disjoint instances, value {:.3}, shape {}",
                 i + 1,
                 sub.pattern.edge_count(),
@@ -90,13 +92,13 @@ pub fn run(args: &Args) -> Result<(), CliError> {
                 sub.value,
                 classify(&sub.pattern).name()
             );
-            print!("{}", tnet_graph::dot::to_ascii(&sub.pattern));
+            out!("{}", tnet_graph::dot::to_ascii(&sub.pattern));
         }
     } else {
         let levels = hierarchical(&g, &cfg, passes)?;
-        println!("hierarchical description: {} levels", levels.len());
+        outln!("hierarchical description: {} levels", levels.len());
         for (i, level) in levels.iter().enumerate() {
-            println!(
+            outln!(
                 "level {}: pattern {} edges x{} instances, compressed size {} (value {:.3})",
                 i + 1,
                 level.substructure.pattern.edge_count(),

@@ -44,10 +44,10 @@ pub fn run(args: &Args) -> Result<(), CliError> {
     let max_edges: usize = args.get_parsed_or("max-edges", 5)?;
 
     let t2 = run_table2(&txns)?;
-    println!("{t2}");
+    outln!("{t2}");
     let limit = quiet_day_label_limit(&txns, quiet_fraction)?;
-    println!("quiet-date label limit ({quiet_fraction} quantile): {limit}");
-    println!(
+    outln!("quiet-date label limit ({quiet_fraction} quantile): {limit}");
+    outln!(
         "{}",
         run_fig4(
             &txns,
@@ -58,7 +58,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
             &exec,
         )?
     );
-    println!(
+    outln!(
         "{}",
         run_fsg_oom(
             &t2.transactions,
@@ -142,7 +142,7 @@ fn run_windowed(args: &Args) -> Result<(), CliError> {
             }
         })?
     };
-    println!(
+    outln!(
         "{} windows over {} {} units ({} graph transactions, width {width}, slide {slide}, \
          {} mode)",
         run.windows.len(),
@@ -152,7 +152,7 @@ fn run_windowed(args: &Args) -> Result<(), CliError> {
         if incremental { "incremental" } else { "full" },
     );
     for (i, w) in run.windows.iter().enumerate() {
-        println!(
+        outln!(
             "  window {i:>3}  units [{:>4}, {:>4})  {:>5} txns  {:>5} patterns",
             w.unit_lo,
             w.unit_hi,
@@ -161,15 +161,20 @@ fn run_windowed(args: &Args) -> Result<(), CliError> {
         );
     }
     let s = &run.session;
-    println!(
+    outln!(
         "session: {} windows ({} incremental, {} full recounts)",
-        s.windows, s.incremental_windows, s.full_recounts
+        s.windows,
+        s.incremental_windows,
+        s.full_recounts
     );
     if verbose {
-        println!(
+        outln!(
             "session detail: {} delta txns, {} delta edges, {} patterns recounted, \
              {} recount skips",
-            s.delta_txns, s.delta_edges, s.patterns_recounted, s.recount_skips
+            s.delta_txns,
+            s.delta_edges,
+            s.patterns_recounted,
+            s.recount_skips
         );
     }
     if let Some(o) = &obs {
@@ -182,7 +187,7 @@ fn run_windowed(args: &Args) -> Result<(), CliError> {
             let _t = exec.span().time("flow_detect");
             detect_flows(&txns, &spec, &fcfg)
         };
-        println!(
+        outln!(
             "flow patterns: {} path flows, {} hub surges, {} deadhead cycles, \
              {} air-freight outliers",
             report.flows.len(),
@@ -191,7 +196,7 @@ fn run_windowed(args: &Args) -> Result<(), CliError> {
             report.outliers.len()
         );
         for f in report.flows.iter().take(3) {
-            println!(
+            outln!(
                 "  flow  window {:>3}  {} hops  bottleneck {:>9.0} lb",
                 f.window_lo,
                 f.path.len() - 1,
@@ -199,7 +204,7 @@ fn run_windowed(args: &Args) -> Result<(), CliError> {
             );
         }
         for c in report.cycles.iter().take(3) {
-            println!("  cycle {} stops, windows {:?}", c.locs.len(), c.windows);
+            outln!("  cycle {} stops, windows {:?}", c.locs.len(), c.windows);
         }
         // Attribution against planted structure is only meaningful for
         // the synthetic generator (CSV inputs have no ground truth).
@@ -210,7 +215,7 @@ fn run_windowed(args: &Args) -> Result<(), CliError> {
                 &tnet_data::synth::SynthConfig::scaled(scale).with_seed(seed),
             );
             let attr = attribute(&report, &ds, &fcfg);
-            println!(
+            outln!(
                 "planted structure surfaced at {} granularity: \
                  hubs {}/{}, cycles {}/{}, air outliers {}/{}",
                 granularity.name(),
@@ -243,7 +248,7 @@ fn run_windowed(args: &Args) -> Result<(), CliError> {
             repetitions_seen: windows,
         })
         .collect();
-    println!("{} distinct patterns across all windows", patterns.len());
+    outln!("{} distinct patterns across all windows", patterns.len());
     report_patterns(patterns, maximal, top, args.get("dot-dir"))?;
     eprintln!("[exec] {} threads: {}", exec.threads(), exec.counters());
     drop(total);

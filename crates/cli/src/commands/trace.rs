@@ -22,7 +22,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::Runtime(format!("cannot read {path}: {e}")))?;
     let summary = summarize(&text).map_err(|e| CliError::Runtime(format!("{path}: {e}")))?;
-    print!("{summary}");
+    out!("{summary}");
     Ok(())
 }
 

@@ -13,6 +13,36 @@
 //! Every command also accepts `--scale`/`--seed` instead of `--input` to
 //! run on a freshly generated synthetic dataset.
 
+/// Writes formatted text to standard output; `out!`/`outln!` are the
+/// only way the commands print. A reader that closes the pipe early
+/// (`tnet mine | head -1`) has all it asked for, so a broken pipe ends
+/// the process quietly with exit 0 instead of a panic. Any other write
+/// failure is a runtime error (exit 1).
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 mod args;
 mod commands;
 mod error;
@@ -26,6 +56,7 @@ tnet — knowledge discovery from transportation network data
 
 USAGE:
     tnet <command> [--options ...]
+    tnet <command> --help      (or -h: print this text)
 
 COMMANDS:
     gen       generate a synthetic dataset and write CSV
@@ -98,6 +129,10 @@ fn main() {
 
 fn run(argv: &[String]) -> Result<(), CliError> {
     let args = Args::parse(argv)?;
+    if args.help {
+        outln!("{HELP}");
+        return Ok(());
+    }
     match args.command.as_str() {
         "gen" => commands::gen::run(&args),
         "stats" => commands::stats::run(&args),
@@ -108,8 +143,8 @@ fn run(argv: &[String]) -> Result<(), CliError> {
         "report" => commands::report::run(&args),
         "serve" => commands::serve::run(&args),
         "trace" => commands::trace::run(&args),
-        "help" | "--help" | "-h" => {
-            println!("{HELP}");
+        "help" => {
+            outln!("{HELP}");
             Ok(())
         }
         other => Err(CliError::Usage(format!(

@@ -34,6 +34,47 @@ fn help_lists_commands() {
 }
 
 #[test]
+fn help_after_a_subcommand_prints_help() {
+    for flag in ["--help", "-h"] {
+        let text = run_ok(&["mine", flag]);
+        assert!(text.contains("USAGE:"), "mine {flag}: {text}");
+    }
+}
+
+#[test]
+fn positional_argument_is_usage_error() {
+    for args in [
+        &["mine", "stray"][..],
+        &["stats", "--scale", "0.01", "data.csv"],
+    ] {
+        let out = tnet().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with("error: unexpected argument"), "{err}");
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+}
+
+/// `tnet mine | head -1`: the reader closes the pipe before the command
+/// has printed. The command ends quietly with exit 0 instead of
+/// panicking on the failed write.
+#[test]
+fn closed_stdout_pipe_ends_quietly() {
+    let mut child = tnet()
+        .args(["mine", "--scale", "0.01"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn tnet");
+    // Closing the only read end makes the first write fail with EPIPE.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
 fn unknown_command_is_usage_error() {
     let out = tnet().arg("bogus").output().unwrap();
     assert_eq!(out.status.code(), Some(2));

@@ -39,10 +39,21 @@ fn candidate_bytes(vertices: usize, edges: usize, tids: usize) -> usize {
 #[derive(Default)]
 struct VerdictStats {
     iso_tests: usize,
+    iso_nodes: u64,
+    iso_nodes_max: u64,
     embeddings_extended: usize,
     embeddings_spilled: usize,
     tid_intersection_skips: usize,
     bitset_intersections: usize,
+}
+
+impl VerdictStats {
+    /// Counts one scratch VF2 search that visited `nodes` search nodes.
+    fn record_iso(&mut self, nodes: u64) {
+        self.iso_tests += 1;
+        self.iso_nodes += nodes;
+        self.iso_nodes_max = self.iso_nodes_max.max(nodes);
+    }
 }
 
 /// Per-candidate verdict from the parallel evaluation stage. Folding
@@ -574,10 +585,11 @@ pub(crate) fn mine_core<T: TxnSource + ?Sized>(
                         {
                             continue;
                         }
-                        vstats.iso_tests += 1;
-                        if matcher.matches(&transactions.txn(tid as usize)) {
+                        let mut nodes = 0;
+                        if matcher.matches_counting(&transactions.txn(tid as usize), &mut nodes) {
                             tids.push(tid);
                         }
+                        vstats.record_iso(nodes);
                     }
                     return Verdict::Counted {
                         tids,
@@ -774,13 +786,14 @@ pub(crate) fn mine_core<T: TxnSource + ?Sized>(
                             {
                                 continue;
                             }
-                            vstats.iso_tests += 1;
+                            let mut nodes = 0;
                             if last_level {
                                 // No descendant will consume a store;
                                 // existence alone settles support.
-                                if matcher.matches(&txn) {
+                                if matcher.matches_counting(&txn, &mut nodes) {
                                     tids.push(tid);
                                 }
+                                vstats.record_iso(nodes);
                                 continue;
                             }
                             // Harvest seeds from the settling search
@@ -794,7 +807,12 @@ pub(crate) fn mine_core<T: TxnSource + ?Sized>(
                             // exact, restoring `Grown::Absent` fast
                             // paths for the descendants too.
                             let limit = seed_cap().min(txn_cap(cap, &txn));
-                            let seeds = matcher.find_unpruned(&txn, Find::AtMost(limit));
+                            let seeds = matcher.find_unpruned_counting(
+                                &txn,
+                                Find::AtMost(limit),
+                                &mut nodes,
+                            );
+                            vstats.record_iso(nodes);
                             if !seeds.is_empty() {
                                 tids.push(tid);
                                 let stride = candidate.vertex_count();
@@ -843,6 +861,8 @@ pub(crate) fn mine_core<T: TxnSource + ?Sized>(
                     exact,
                 } => {
                     stats.iso_tests += vstats.iso_tests;
+                    stats.iso_nodes += vstats.iso_nodes;
+                    stats.iso_nodes_max = stats.iso_nodes_max.max(vstats.iso_nodes_max);
                     stats.embeddings_extended += vstats.embeddings_extended;
                     stats.embeddings_spilled += vstats.embeddings_spilled;
                     stats.tid_intersection_skips += vstats.tid_intersection_skips;

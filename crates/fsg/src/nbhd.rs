@@ -383,6 +383,11 @@ impl GraphView for NbhdView<'_> {
         debug_assert!(self.contains(s) && self.contains(d));
         self.fg.has_edge_labeled(s, d, el)
     }
+
+    fn is_simple(&self) -> bool {
+        // An induced subgraph repeats a triple only if the graph does.
+        self.fg.is_simple()
+    }
 }
 
 /// The neighborhood index as a [`TxnSource`]: transaction *i* is center

@@ -123,6 +123,12 @@ pub struct MiningStats {
     /// (inexact) embedding list yields no extension — an unverified "no"
     /// that is settled from scratch.
     pub iso_tests: usize,
+    /// Search nodes visited by those tests, summed — their deterministic
+    /// cost, the same at any thread count.
+    pub iso_nodes: u64,
+    /// Search nodes of the most expensive single test: the tail that a
+    /// handful of negative decisions on hub transactions can dominate.
+    pub iso_nodes_max: u64,
     /// Peak estimated candidate-set bytes across levels.
     pub peak_candidate_bytes: usize,
     /// Parent embeddings extended by one edge in place of scratch VF2
@@ -160,6 +166,8 @@ impl MiningStats {
         metrics.add("fsg.frequent", self.total_frequent() as u64);
         metrics.add("fsg.closure_pruned", self.closure_pruned as u64);
         metrics.add("fsg.iso_tests", self.iso_tests as u64);
+        metrics.add("fsg.iso_nodes", self.iso_nodes);
+        metrics.record_max("fsg.iso_nodes_max", self.iso_nodes_max);
         metrics.add("fsg.embeddings_extended", self.embeddings_extended as u64);
         metrics.add("fsg.embeddings_spilled", self.embeddings_spilled as u64);
         metrics.add(

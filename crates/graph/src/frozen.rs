@@ -133,6 +133,9 @@ pub struct FrozenGraph {
     /// Per-vertex structural fingerprints (see [`crate::fingerprint`]),
     /// precomputed so the pre-VF2 filter is an array load.
     fps: Vec<u64>,
+    /// No `(src, dst, label)` triple repeats (see
+    /// [`GraphView::is_simple`]).
+    simple: bool,
     hash_cache: OnceLock<u64>,
 }
 
@@ -175,6 +178,31 @@ fn build_csr(
     (off, adj, lab)
 }
 
+/// True if no `(src, dst, label)` triple repeats. Each out row of `lab`
+/// is sorted by edge label first, so one (src, label) pair is one
+/// contiguous run; stamping each destination with the current run's
+/// number finds a repeat in one pass over the edges.
+fn no_repeated_triples(off: &[u32], lab: &[EdgeId], elabels: &[ELabel], edst: &[VertexId]) -> bool {
+    let mut stamp = vec![0u32; off.len().saturating_sub(1)];
+    let mut run = 0u32;
+    for row in off.windows(2) {
+        let mut label = None;
+        for &e in &lab[row[0] as usize..row[1] as usize] {
+            let l = elabels[e.index()];
+            if label != Some(l) {
+                label = Some(l);
+                run += 1;
+            }
+            let d = edst[e.index()].index();
+            if stamp[d] == run {
+                return false;
+            }
+            stamp[d] = run;
+        }
+    }
+    true
+}
+
 impl FrozenGraph {
     /// Freezes `g` into a CSR snapshot. Live vertices and edges are
     /// renumbered densely in ascending builder-id order (the numbering
@@ -204,6 +232,7 @@ impl FrozenGraph {
         let n = vlabels.len();
         let (out_off, out_adj, out_lab) = build_csr(n, &esrc, &edst, &elabels, &vlabels);
         let (in_off, in_adj, in_lab) = build_csr(n, &edst, &esrc, &elabels, &vlabels);
+        let simple = no_repeated_triples(&out_off, &out_lab, &elabels, &edst);
         let mut fg = FrozenGraph {
             vlabels,
             esrc,
@@ -218,6 +247,7 @@ impl FrozenGraph {
             orig_v,
             orig_e,
             fps: Vec::new(),
+            simple,
             hash_cache: OnceLock::new(),
         };
         // Computed through the free function (not the trait method, whose
@@ -289,6 +319,39 @@ impl FrozenGraph {
 
     fn in_row(&self, v: VertexId) -> &[EdgeId] {
         &self.in_adj[self.in_off[v.index()] as usize..self.in_off[v.index() + 1] as usize]
+    }
+
+    /// Out-edges of `v` labeled `el` whose destination has label `vl`, in
+    /// ascending edge-id order.
+    fn out_run(&self, v: VertexId, el: ELabel, vl: VLabel) -> &[EdgeId] {
+        let row =
+            &self.out_lab[self.out_off[v.index()] as usize..self.out_off[v.index() + 1] as usize];
+        matching_run(
+            row,
+            |e| {
+                (
+                    self.elabels[e.index()].0,
+                    self.vlabels[self.edst[e.index()].index()].0,
+                )
+            },
+            (el.0, vl.0),
+        )
+    }
+
+    /// In-edges of `v` labeled `el` whose source has label `vl`.
+    fn in_run(&self, v: VertexId, el: ELabel, vl: VLabel) -> &[EdgeId] {
+        let row =
+            &self.in_lab[self.in_off[v.index()] as usize..self.in_off[v.index() + 1] as usize];
+        matching_run(
+            row,
+            |e| {
+                (
+                    self.elabels[e.index()].0,
+                    self.vlabels[self.esrc[e.index()].index()].0,
+                )
+            },
+            (el.0, vl.0),
+        )
     }
 }
 
@@ -367,19 +430,7 @@ impl GraphView for FrozenGraph {
         vl: VLabel,
         f: &mut dyn FnMut(EdgeId, VertexId),
     ) {
-        let row =
-            &self.out_lab[self.out_off[v.index()] as usize..self.out_off[v.index() + 1] as usize];
-        let run = matching_run(
-            row,
-            |e| {
-                (
-                    self.elabels[e.index()].0,
-                    self.vlabels[self.edst[e.index()].index()].0,
-                )
-            },
-            (el.0, vl.0),
-        );
-        for &e in run {
+        for &e in self.out_run(v, el, vl) {
             f(e, self.edst[e.index()]);
         }
     }
@@ -391,31 +442,35 @@ impl GraphView for FrozenGraph {
         vl: VLabel,
         f: &mut dyn FnMut(EdgeId, VertexId),
     ) {
-        let row =
-            &self.in_lab[self.in_off[v.index()] as usize..self.in_off[v.index() + 1] as usize];
-        let run = matching_run(
-            row,
-            |e| {
-                (
-                    self.elabels[e.index()].0,
-                    self.vlabels[self.esrc[e.index()].index()].0,
-                )
-            },
-            (el.0, vl.0),
-        );
-        for &e in run {
+        for &e in self.in_run(v, el, vl) {
             f(e, self.esrc[e.index()]);
         }
     }
 
+    fn count_out_matching(&self, v: VertexId, el: ELabel, vl: VLabel) -> usize {
+        self.out_run(v, el, vl).len()
+    }
+
+    fn count_in_matching(&self, v: VertexId, el: ELabel, vl: VLabel) -> usize {
+        self.in_run(v, el, vl).len()
+    }
+
     fn has_edge_labeled(&self, s: VertexId, d: VertexId, el: ELabel) -> bool {
-        // Narrow to the (label, dst-label) run by binary search, then scan
-        // the handful of parallel candidates for the exact endpoint.
-        let mut found = false;
-        self.visit_out_matching(s, el, self.vlabels[d.index()], &mut |_, dd| {
-            found |= dd == d;
-        });
-        found
+        // Narrow the shorter of the two adjacency rows (`s`'s out-row or
+        // `d`'s in-row) to its (label, far-label) run by binary search,
+        // then scan the run for the exact far endpoint: a hub's row can
+        // hold thousands of edges, its spoke's a handful.
+        if self.out_degree(s) <= self.in_degree(d) {
+            let run = self.out_run(s, el, self.vlabels[d.index()]);
+            run.iter().any(|e| self.edst[e.index()] == d)
+        } else {
+            let run = self.in_run(d, el, self.vlabels[s.index()]);
+            run.iter().any(|e| self.esrc[e.index()] == s)
+        }
+    }
+
+    fn is_simple(&self) -> bool {
+        self.simple
     }
 
     fn vertex_fp(&self, v: VertexId) -> u64 {
@@ -445,6 +500,8 @@ pub struct TxnSet {
     v_off: Vec<u32>,
     /// Transaction boundaries into the edge arrays (`len = n + 1`).
     e_off: Vec<u32>,
+    /// Per transaction: no `(src, dst, label)` triple repeats.
+    simple: Vec<bool>,
 }
 
 impl TxnSet {
@@ -467,6 +524,7 @@ impl TxnSet {
             fps: Vec::new(),
             v_off: vec![0],
             e_off: vec![0],
+            simple: Vec::with_capacity(transactions.len()),
         };
         for g in transactions {
             let fg = g.freeze();
@@ -495,6 +553,7 @@ impl TxnSet {
             set.elabels.extend_from_slice(&fg.elabels);
             set.v_off.push(set.vlabels.len() as u32);
             set.e_off.push(set.elabels.len() as u32);
+            set.simple.push(fg.simple);
         }
         set
     }
@@ -517,6 +576,7 @@ impl TxnSet {
             e_base: self.e_off[i],
             v_count: self.v_off[i + 1] - self.v_off[i],
             e_count: self.e_off[i + 1] - self.e_off[i],
+            simple: self.simple[i],
         }
     }
 
@@ -607,6 +667,7 @@ pub struct TxnRef<'a> {
     e_base: u32,
     v_count: u32,
     e_count: u32,
+    simple: bool,
 }
 
 impl TxnRef<'_> {
@@ -628,6 +689,42 @@ impl TxnRef<'_> {
     fn in_row(&self, v: VertexId) -> &[EdgeId] {
         let gv = self.gv(v);
         &self.set.in_adj[self.set.in_off[gv] as usize..self.set.in_off[gv + 1] as usize]
+    }
+
+    /// Out-edges of `v` labeled `el` whose destination has label `vl`, in
+    /// ascending edge-id order.
+    fn out_run(&self, v: VertexId, el: ELabel, vl: VLabel) -> &[EdgeId] {
+        let gv = self.gv(v);
+        let row =
+            &self.set.out_lab[self.set.out_off[gv] as usize..self.set.out_off[gv + 1] as usize];
+        matching_run(
+            row,
+            |e| {
+                let ge = self.ge(e);
+                (
+                    self.set.elabels[ge].0,
+                    self.set.vlabels[(self.v_base + self.set.edst[ge].0) as usize].0,
+                )
+            },
+            (el.0, vl.0),
+        )
+    }
+
+    /// In-edges of `v` labeled `el` whose source has label `vl`.
+    fn in_run(&self, v: VertexId, el: ELabel, vl: VLabel) -> &[EdgeId] {
+        let gv = self.gv(v);
+        let row = &self.set.in_lab[self.set.in_off[gv] as usize..self.set.in_off[gv + 1] as usize];
+        matching_run(
+            row,
+            |e| {
+                let ge = self.ge(e);
+                (
+                    self.set.elabels[ge].0,
+                    self.set.vlabels[(self.v_base + self.set.esrc[ge].0) as usize].0,
+                )
+            },
+            (el.0, vl.0),
+        )
     }
 }
 
@@ -692,21 +789,7 @@ impl GraphView for TxnRef<'_> {
         vl: VLabel,
         f: &mut dyn FnMut(EdgeId, VertexId),
     ) {
-        let gv = self.gv(v);
-        let row =
-            &self.set.out_lab[self.set.out_off[gv] as usize..self.set.out_off[gv + 1] as usize];
-        let run = matching_run(
-            row,
-            |e| {
-                let ge = self.ge(e);
-                (
-                    self.set.elabels[ge].0,
-                    self.set.vlabels[(self.v_base + self.set.edst[ge].0) as usize].0,
-                )
-            },
-            (el.0, vl.0),
-        );
-        for &e in run {
+        for &e in self.out_run(v, el, vl) {
             f(e, self.set.edst[self.ge(e)]);
         }
     }
@@ -718,30 +801,32 @@ impl GraphView for TxnRef<'_> {
         vl: VLabel,
         f: &mut dyn FnMut(EdgeId, VertexId),
     ) {
-        let gv = self.gv(v);
-        let row = &self.set.in_lab[self.set.in_off[gv] as usize..self.set.in_off[gv + 1] as usize];
-        let run = matching_run(
-            row,
-            |e| {
-                let ge = self.ge(e);
-                (
-                    self.set.elabels[ge].0,
-                    self.set.vlabels[(self.v_base + self.set.esrc[ge].0) as usize].0,
-                )
-            },
-            (el.0, vl.0),
-        );
-        for &e in run {
+        for &e in self.in_run(v, el, vl) {
             f(e, self.set.esrc[self.ge(e)]);
         }
     }
 
+    fn count_out_matching(&self, v: VertexId, el: ELabel, vl: VLabel) -> usize {
+        self.out_run(v, el, vl).len()
+    }
+
+    fn count_in_matching(&self, v: VertexId, el: ELabel, vl: VLabel) -> usize {
+        self.in_run(v, el, vl).len()
+    }
+
     fn has_edge_labeled(&self, s: VertexId, d: VertexId, el: ELabel) -> bool {
-        let mut found = false;
-        self.visit_out_matching(s, el, self.vertex_label(d), &mut |_, dd| {
-            found |= dd == d;
-        });
-        found
+        // The shorter of the two rows, as on `FrozenGraph`.
+        if self.out_degree(s) <= self.in_degree(d) {
+            let run = self.out_run(s, el, self.vertex_label(d));
+            run.iter().any(|&e| self.set.edst[self.ge(e)] == d)
+        } else {
+            let run = self.in_run(d, el, self.vertex_label(s));
+            run.iter().any(|&e| self.set.esrc[self.ge(e)] == s)
+        }
+    }
+
+    fn is_simple(&self) -> bool {
+        self.simple
     }
 
     fn vertex_fp(&self, v: VertexId) -> u64 {
@@ -872,6 +957,25 @@ mod tests {
             }
             assert!(are_isomorphic(&fg.thaw(), g));
         }
+    }
+
+    #[test]
+    fn simple_bit_tracks_repeated_triples() {
+        let mut g = Graph::new();
+        let a = g.add_vertex(VLabel(0));
+        let b = g.add_vertex(VLabel(0));
+        g.add_edge(a, b, ELabel(1));
+        g.add_edge(a, b, ELabel(2));
+        g.add_edge(b, a, ELabel(1));
+        g.add_edge(a, a, ELabel(1));
+        assert!(g.freeze().is_simple(), "different labels or directions");
+        let mut multi = g.clone();
+        multi.add_edge(a, b, ELabel(2));
+        assert!(!multi.freeze().is_simple());
+        let set = TxnSet::freeze(&[g.clone(), multi, g]);
+        let bits: Vec<bool> = set.iter().map(|t| t.is_simple()).collect();
+        assert_eq!(bits, [true, false, true]);
+        assert!(!Graph::new().is_simple(), "the arena never claims it");
     }
 
     #[test]

@@ -6,20 +6,30 @@
 //! directed labeled edge of `P` onto a distinct directed labeled edge of
 //! `G` (§4 of the paper spells out this definition).
 //!
-//! The implementation is a VF2-flavoured backtracking search:
+//! The implementation is a VF2-flavoured backtracking search whose plan
+//! follows VF2++ (Jüttner & Madarasi): match the most constrained part of
+//! the pattern first, and reject candidates by counting before recursing.
 //!
-//! * pattern vertices are matched in a connectivity-first order, so every
-//!   vertex after the first is constrained by at least one already-matched
-//!   neighbour (unless the pattern is disconnected);
-//! * candidates for a constrained vertex are drawn from the adjacency of
-//!   the already-mapped anchor, not from all of `G`;
-//! * label and degree feasibility prune before recursion.
+//! * **Core first.** The *core* is the set of pattern vertices of degree
+//!   ≥ 2. It is matched first, in a connectivity-first order, so every
+//!   core vertex after the first is constrained by an already-matched
+//!   neighbour (unless the pattern is disconnected). The degree-1 leaves
+//!   follow, smallest same-signature group first, so a rare leaf is tried
+//!   before a run of interchangeable ones. A pattern without a core (a
+//!   single edge) keeps the plain connectivity-first order.
+//! * **Anchored candidates.** Candidates for a constrained vertex are
+//!   drawn from the label-matching adjacency of an already-mapped anchor,
+//!   not from all of `G`.
+//! * **Label-count domination.** For every pattern vertex the plan counts
+//!   the edges it needs per (edge label, direction, neighbour label); a
+//!   candidate image with fewer such edges is rejected before recursion.
+//!   On frozen targets each count is one binary search.
 //!
 //! Parallel edges are handled by multiplicity counting: if `P` has `k`
 //! edges `(u, v, l)`, the image pair must carry at least `k` such edges.
 
 use crate::graph::{ELabel, Graph, VLabel, VertexId};
-use crate::hash::{FxHashMap, FxHashSet};
+use crate::hash::FxHashSet;
 use crate::view::GraphView;
 
 /// Sentinel for a pattern-vertex slot with no image (dead arena slots in
@@ -115,15 +125,39 @@ pub enum Find {
     All,
 }
 
+/// How many edges a pattern vertex needs of one kind: `count` edges with
+/// label `elabel`, leaving the vertex (`out`) or entering it, whose far
+/// endpoint has label `vlabel`. Any image must have at least as many.
+#[derive(Clone, Copy, Debug)]
+struct EdgeNeed {
+    elabel: ELabel,
+    out: bool,
+    vlabel: VLabel,
+    count: usize,
+}
+
+/// One edge check between the vertex placed at some depth and an
+/// earlier-placed vertex: the image pair must carry `count` edges with
+/// label `elabel`, from the new vertex to the earlier one when `out`.
+#[derive(Clone, Copy, Debug)]
+struct PairNeed {
+    /// Depth (position in the match order) of the earlier vertex.
+    earlier: usize,
+    elabel: ELabel,
+    out: bool,
+    count: usize,
+}
+
 struct SearchPlan {
     /// Pattern vertices in match order.
     order: Vec<VertexId>,
     /// For `order[i]` (i > 0): edges to already-matched pattern vertices,
-    /// as `(matched_vertex, label, outgoing_from_new)` with multiplicity.
-    back_edges: Vec<Vec<(VertexId, ELabel, bool)>>,
-    /// Anchor for candidate generation: Some((matched vertex, label,
-    /// new_is_dst)) — the new vertex must be adjacent to this one.
-    anchor: Vec<Option<(VertexId, ELabel, bool)>>,
+    /// as `(depth of the matched vertex, label, outgoing_from_new)` with
+    /// multiplicity.
+    back_edges: Vec<Vec<(usize, ELabel, bool)>>,
+    /// Anchor for candidate generation: `Some((depth of a matched vertex,
+    /// label, new_is_src))` — the new vertex must be adjacent to it.
+    anchor: Vec<Option<(usize, ELabel, bool)>>,
     /// Symmetry breaking for "twin" leaves — pattern vertices of degree 1
     /// hanging off the same anchor with identical labels/direction are
     /// interchangeable, so their images are forced into ascending id
@@ -142,78 +176,122 @@ struct SearchPlan {
     root_edge: Vec<Option<(ELabel, bool)>>,
 }
 
-/// Number of target edges `ts -> td` with label `l`.
-fn count_pair<G: GraphView>(target: &G, ts: VertexId, td: VertexId, l: ELabel) -> usize {
-    target
-        .out_edges(ts)
-        .filter(|&e| {
-            let (_, dd, ll) = target.edge(e);
-            dd == td && ll == l
-        })
-        .count()
-}
-
-fn build_plan(pattern: &Graph) -> SearchPlan {
-    let mut order: Vec<VertexId> = Vec::with_capacity(pattern.vertex_count());
-    let mut placed: FxHashSet<VertexId> = FxHashSet::default();
-    let all: Vec<VertexId> = pattern.vertices().collect();
-
-    // Start from the highest-degree vertex: it constrains the search most.
-    if let Some(&start) = all.iter().max_by_key(|&&v| pattern.degree(v)) {
+/// Orders `pool` connectivity-first: the highest-degree vertex first (it
+/// constrains the search most), then repeatedly the unplaced vertex with
+/// the most edges into the placed set (any unplaced vertex of a
+/// disconnected pool when none has one). Ties go to the last candidate
+/// in `pool` order.
+fn connectivity_first(pattern: &Graph, pool: &[VertexId]) -> Vec<VertexId> {
+    let slots = pattern.vertices().last().map_or(0, |v| v.index() + 1);
+    let mut placed = vec![false; slots];
+    let mut order = Vec::with_capacity(pool.len());
+    let mut left: Vec<VertexId> = pool.to_vec();
+    if let Some(i) = (0..left.len()).max_by_key(|&i| pattern.degree(left[i])) {
+        let start = left.remove(i);
         order.push(start);
-        placed.insert(start);
+        placed[start.index()] = true;
     }
-    while order.len() < all.len() {
-        // Prefer a vertex adjacent to the already-placed set with maximal
-        // connectivity into it; fall back to any unplaced vertex
-        // (disconnected patterns).
-        let next = all
-            .iter()
-            .copied()
-            .filter(|v| !placed.contains(v))
-            .max_by_key(|&v| {
+    while !left.is_empty() {
+        let i = (0..left.len())
+            .max_by_key(|&i| {
+                let v = left[i];
                 pattern
                     .incident_edges(v)
                     .filter(|&e| {
                         let (s, d, _) = pattern.edge(e);
                         let other = if s == v { d } else { s };
-                        placed.contains(&other)
+                        placed[other.index()]
                     })
                     .count()
             })
             .expect("unplaced vertex must exist");
+        let next = left.remove(i);
         order.push(next);
-        placed.insert(next);
+        placed[next.index()] = true;
     }
+    order
+}
 
-    let pos: FxHashMap<VertexId, usize> = order.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+/// The match order: the core (degree ≥ 2) connectivity-first, then the
+/// degree-1 leaves, smallest same-signature group first (ties by first
+/// appearance), then isolated vertices. A leaf's signature is its
+/// neighbour, edge direction, edge label and vertex label — the leaves
+/// twin-leaf symmetry breaking treats as interchangeable. Without a core,
+/// plain connectivity-first.
+fn match_order(pattern: &Graph) -> Vec<VertexId> {
+    let all: Vec<VertexId> = pattern.vertices().collect();
+    let core: Vec<VertexId> = all
+        .iter()
+        .copied()
+        .filter(|&v| pattern.degree(v) >= 2)
+        .collect();
+    if core.is_empty() {
+        return connectivity_first(pattern, &all);
+    }
+    let mut order = connectivity_first(pattern, &core);
+    let leaves: Vec<VertexId> = all
+        .iter()
+        .copied()
+        .filter(|&v| pattern.degree(v) == 1)
+        .collect();
+    let sigs: Vec<_> = leaves
+        .iter()
+        .map(|&v| {
+            let e = pattern
+                .incident_edges(v)
+                .next()
+                .expect("a leaf has an edge");
+            let (s, d, l) = pattern.edge(e);
+            let (other, out) = if s == v { (d, true) } else { (s, false) };
+            (other, out, l, pattern.vertex_label(v))
+        })
+        .collect();
+    // (group size, first member's position, own position): group members
+    // stay together and in vertex order.
+    let mut keyed: Vec<(usize, usize, usize)> = (0..leaves.len())
+        .map(|i| {
+            let first = sigs.iter().position(|s| *s == sigs[i]).unwrap_or(i);
+            let size = sigs.iter().filter(|s| **s == sigs[i]).count();
+            (size, first, i)
+        })
+        .collect();
+    keyed.sort_unstable();
+    order.extend(keyed.into_iter().map(|(_, _, i)| leaves[i]));
+    order.extend(all.iter().copied().filter(|&v| pattern.degree(v) == 0));
+    order
+}
+
+fn build_plan(pattern: &Graph) -> SearchPlan {
+    let order = match_order(pattern);
+    let slots = order.iter().map(|v| v.index() + 1).max().unwrap_or(0);
+    let mut pos = vec![usize::MAX; slots];
+    for (i, &v) in order.iter().enumerate() {
+        pos[v.index()] = i;
+    }
     let mut back_edges = vec![Vec::new(); order.len()];
     let mut anchor = vec![None; order.len()];
     for (i, &v) in order.iter().enumerate() {
         for e in pattern.out_edges(v) {
             let (_, d, l) = pattern.edge(e);
-            if pos[&d] < i {
-                back_edges[i].push((d, l, true));
+            if pos[d.index()] < i {
+                back_edges[i].push((pos[d.index()], l, true));
             }
         }
         for e in pattern.in_edges(v) {
             let (s, _, l) = pattern.edge(e);
-            if pos[&s] < i {
-                back_edges[i].push((s, l, false));
+            if pos[s.index()] < i {
+                back_edges[i].push((pos[s.index()], l, false));
             }
         }
-        if let Some(&(m, l, out)) = back_edges[i].first() {
-            // If the new vertex has an outgoing back edge v->m, then in the
-            // target the candidate is an *in*-neighbor source... careful:
-            // back edge (m, l, true) means pattern edge v -> m. Candidates
-            // for v are target vertices with an edge into image(m).
-            anchor[i] = Some((m, l, out));
-        }
+        // Back edge (m, l, true) is the pattern edge v -> order[m]:
+        // candidates for v are target vertices with an `l` edge into
+        // image(order[m]).
+        anchor[i] = back_edges[i].first().copied();
     }
     // Twin detection: degree-1 vertices with identical
     // (anchor, direction, edge label, vertex label) signatures.
     let mut twin_prev = vec![None; order.len()];
-    let signature = |i: usize| -> Option<(VertexId, bool, ELabel, VLabel)> {
+    let signature = |i: usize| -> Option<(usize, bool, ELabel, VLabel)> {
         let v = order[i];
         if pattern.degree(v) != 1 || back_edges[i].len() != 1 {
             return None;
@@ -258,6 +336,31 @@ fn build_plan(pattern: &Graph) -> SearchPlan {
     }
 }
 
+/// Sorts `items` and collapses equal runs into `(item, run length)`.
+fn run_lengths<T: Ord + Copy>(mut items: Vec<T>) -> Vec<(T, usize)> {
+    items.sort_unstable();
+    let mut out: Vec<(T, usize)> = Vec::with_capacity(items.len());
+    for x in items {
+        match out.last_mut() {
+            Some((y, n)) if *y == x => *n += 1,
+            _ => out.push((x, 1)),
+        }
+    }
+    out
+}
+
+/// True if the target carries at least `need` edges `ts -> td` labeled `l`.
+fn has_pair<G: GraphView>(target: &G, ts: VertexId, td: VertexId, l: ELabel, need: usize) -> bool {
+    if need == 1 {
+        return target.has_edge_labeled(ts, td, l);
+    }
+    let mut have = 0;
+    target.visit_out_matching(ts, l, target.vertex_label(td), &mut |_, d| {
+        have += usize::from(d == td)
+    });
+    have >= need
+}
+
 /// Reusable matcher for one pattern against many targets.
 ///
 /// Building the matcher precomputes the pattern's search plan and label
@@ -265,10 +368,16 @@ fn build_plan(pattern: &Graph) -> SearchPlan {
 pub struct Matcher {
     plan: SearchPlan,
     vlabels: Vec<VLabel>,
-    /// Pattern edge multiplicities keyed by (src, dst, label) — used to
-    /// require sufficient parallel-edge counts in the target.
-    multiplicity: FxHashMap<(VertexId, VertexId, ELabel), usize>,
-    pattern_degrees: FxHashMap<VertexId, (usize, usize)>,
+    /// Label-count domination: `needs[need_off[i]..need_off[i + 1]]` are
+    /// the edge kinds `order[i]` needs, with multiplicity.
+    needs: Vec<EdgeNeed>,
+    need_off: Vec<usize>,
+    /// Edge checks against earlier-matched vertices at each depth (self
+    /// loops included, with `earlier` = the depth itself), grouped by
+    /// (vertex, label, direction) with multiplicity. The anchor edge is
+    /// left out when one target edge suffices: candidates are drawn from
+    /// it.
+    pairs: Vec<Vec<PairNeed>>,
     /// Flat-assignment slot count: 1 + the largest pattern vertex index.
     slots: usize,
 }
@@ -278,25 +387,76 @@ impl Matcher {
     /// miners produce; reuse it across transactions.
     pub fn new(pattern: &Graph) -> Self {
         let plan = build_plan(pattern);
-        let vlabels = plan
+        let vlabels: Vec<VLabel> = plan
             .order
             .iter()
             .map(|&v| pattern.vertex_label(v))
             .collect();
-        let mut multiplicity: FxHashMap<(VertexId, VertexId, ELabel), usize> = FxHashMap::default();
-        for e in pattern.edges() {
-            *multiplicity.entry(pattern.edge(e)).or_insert(0) += 1;
-        }
-        let pattern_degrees = pattern
-            .vertices()
-            .map(|v| (v, (pattern.out_degree(v), pattern.in_degree(v))))
-            .collect();
         let slots = plan.order.iter().map(|v| v.index() + 1).max().unwrap_or(0);
+        // One (depth, edge kind) entry per incident pattern edge end; a
+        // self-loop is both an out- and an in-edge of its vertex, as in
+        // the target's adjacency.
+        let mut ends: Vec<(usize, ELabel, bool, VLabel)> =
+            Vec::with_capacity(2 * pattern.edge_count());
+        for (i, &v) in plan.order.iter().enumerate() {
+            for e in pattern.out_edges(v) {
+                let (_, d, l) = pattern.edge(e);
+                ends.push((i, l, true, pattern.vertex_label(d)));
+            }
+            for e in pattern.in_edges(v) {
+                let (s, _, l) = pattern.edge(e);
+                ends.push((i, l, false, pattern.vertex_label(s)));
+            }
+        }
+        let mut needs = Vec::new();
+        let mut need_off = vec![0; plan.order.len() + 1];
+        for ((depth, elabel, out, vlabel), count) in run_lengths(ends) {
+            needs.push(EdgeNeed {
+                elabel,
+                out,
+                vlabel,
+                count,
+            });
+            need_off[depth + 1] = needs.len();
+        }
+        for i in 0..plan.order.len() {
+            need_off[i + 1] = need_off[i + 1].max(need_off[i]);
+        }
+        let pairs = plan
+            .order
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| {
+                let mut back = plan.back_edges[i].clone();
+                // Self-loops connect a vertex to itself, not to an earlier
+                // one, so they are never back edges; check them here.
+                back.extend(
+                    pattern
+                        .out_edges(v)
+                        .map(|e| pattern.edge(e))
+                        .filter(|&(_, d, _)| d == v)
+                        .map(|(_, _, l)| (i, l, true)),
+                );
+                run_lengths(back)
+                    .into_iter()
+                    .filter(|&((m, l, out), count)| {
+                        count > 1 || plan.anchor[i] != Some((m, l, out))
+                    })
+                    .map(|((earlier, elabel, out), count)| PairNeed {
+                        earlier,
+                        elabel,
+                        out,
+                        count,
+                    })
+                    .collect()
+            })
+            .collect();
         Matcher {
             plan,
             vlabels,
-            multiplicity,
-            pattern_degrees,
+            needs,
+            need_off,
+            pairs,
             slots,
         }
     }
@@ -313,7 +473,7 @@ impl Matcher {
     /// The target may be any [`GraphView`]: the builder arena, a
     /// [`crate::frozen::FrozenGraph`], or a [`crate::frozen::TxnRef`].
     pub fn find<G: GraphView>(&self, target: &G, mode: Find) -> Vec<Embedding> {
-        self.search(target, mode, true)
+        self.search(target, mode, true, &mut 0)
     }
 
     /// Searches for embeddings **without** twin-leaf symmetry breaking:
@@ -322,10 +482,39 @@ impl Matcher {
     /// *all* occurrences, or restricting a child occurrence to the parent
     /// could land on an embedding the pruned search never emitted.
     pub fn find_unpruned<G: GraphView>(&self, target: &G, mode: Find) -> Vec<Embedding> {
-        self.search(target, mode, false)
+        self.search(target, mode, false, &mut 0)
     }
 
-    fn search<G: GraphView>(&self, target: &G, mode: Find, prune_twins: bool) -> Vec<Embedding> {
+    /// [`Matcher::find_unpruned`] that also adds the number of search
+    /// nodes it visited to `nodes` — a deterministic measure of the
+    /// search's effort, independent of timing noise.
+    pub fn find_unpruned_counting<G: GraphView>(
+        &self,
+        target: &G,
+        mode: Find,
+        nodes: &mut u64,
+    ) -> Vec<Embedding> {
+        self.search(target, mode, false, nodes)
+    }
+
+    /// True if at least one embedding exists.
+    pub fn matches<G: GraphView>(&self, target: &G) -> bool {
+        self.matches_counting(target, &mut 0)
+    }
+
+    /// [`Matcher::matches`] that also adds the number of search nodes it
+    /// visited to `nodes`.
+    pub fn matches_counting<G: GraphView>(&self, target: &G, nodes: &mut u64) -> bool {
+        !self.search(target, Find::First, true, nodes).is_empty()
+    }
+
+    fn search<G: GraphView>(
+        &self,
+        target: &G,
+        mode: Find,
+        prune_twins: bool,
+        nodes: &mut u64,
+    ) -> Vec<Embedding> {
         let limit = match mode {
             Find::First => 1,
             Find::AtMost(n) => n,
@@ -334,33 +523,19 @@ impl Matcher {
         if limit == 0 || self.plan.order.is_empty() {
             return Vec::new();
         }
-        let mut results = Vec::new();
-        let mut assignment: Vec<VertexId> = Vec::with_capacity(self.plan.order.len());
-        let mut used: FxHashSet<VertexId> = FxHashSet::default();
-        self.recurse(
+        let mut cx = Search {
             target,
-            &mut assignment,
-            &mut used,
-            &mut results,
+            assignment: Vec::with_capacity(self.plan.order.len()),
+            used: FxHashSet::default(),
+            candidates: vec![Vec::new(); self.plan.order.len()],
+            results: Vec::new(),
             limit,
             prune_twins,
-        );
-        results
-    }
-
-    /// True if at least one embedding exists.
-    pub fn matches<G: GraphView>(&self, target: &G) -> bool {
-        !self.find(target, Find::First).is_empty()
-    }
-
-    fn image(&self, assignment: &[VertexId], pv: VertexId) -> VertexId {
-        let idx = self
-            .plan
-            .order
-            .iter()
-            .position(|&v| v == pv)
-            .expect("back edge to unmatched vertex");
-        assignment[idx]
+            nodes: 0,
+        };
+        self.recurse(&mut cx);
+        *nodes += cx.nodes;
+        cx.results
     }
 
     fn feasible<G: GraphView>(
@@ -368,133 +543,136 @@ impl Matcher {
         target: &G,
         assignment: &[VertexId],
         depth: usize,
-        candidate: VertexId,
+        c: VertexId,
     ) -> bool {
-        if target.vertex_label(candidate) != self.vlabels[depth] {
+        if target.vertex_label(c) != self.vlabels[depth] {
             return false;
         }
-        let pv = self.plan.order[depth];
-        let (pout, pin) = self.pattern_degrees[&pv];
-        if target.out_degree(candidate) < pout || target.in_degree(candidate) < pin {
-            return false;
-        }
-        // Self-loops never appear as back edges (they connect a vertex to
-        // itself, not to an earlier one), so verify them here.
-        for (&(s, d, l), &need) in &self.multiplicity {
-            if s == pv && d == pv && count_pair(target, candidate, candidate, l) < need {
+        for n in &self.needs[self.need_off[depth]..self.need_off[depth + 1]] {
+            let have = if n.out {
+                target.count_out_matching(c, n.elabel, n.vlabel)
+            } else {
+                target.count_in_matching(c, n.elabel, n.vlabel)
+            };
+            if have < n.count {
                 return false;
             }
         }
-        // Every pattern back edge must have enough parallel target edges.
-        for &(m, _l, out) in &self.plan.back_edges[depth] {
-            let tm = self.image(assignment, m);
-            let (ps, pd) = if out { (pv, m) } else { (m, pv) };
-            let (ts, td) = if out {
-                (candidate, tm)
+        self.pairs[depth].iter().all(|p| {
+            let tm = if p.earlier == depth {
+                c
             } else {
-                (tm, candidate)
+                assignment[p.earlier]
             };
-            // Sum multiplicity over labels for this ordered pair once per
-            // distinct (pair,label); recomputing per back edge is fine for
-            // the tiny patterns in play.
-            for (&(s, d, l), &need) in &self.multiplicity {
-                if s == ps && d == pd && count_pair(target, ts, td, l) < need {
-                    return false;
-                }
-            }
-        }
-        true
+            let (ts, td) = if p.out { (c, tm) } else { (tm, c) };
+            has_pair(target, ts, td, p.elabel, p.count)
+        })
     }
 
-    fn recurse<G: GraphView>(
-        &self,
-        target: &G,
-        assignment: &mut Vec<VertexId>,
-        used: &mut FxHashSet<VertexId>,
-        results: &mut Vec<Embedding>,
-        limit: usize,
-        prune_twins: bool,
-    ) -> bool {
-        let depth = assignment.len();
+    fn recurse<G: GraphView>(&self, cx: &mut Search<'_, G>) -> bool {
+        cx.nodes += 1;
+        let depth = cx.assignment.len();
         if depth == self.plan.order.len() {
             let mut flat = vec![UNMAPPED; self.slots];
             for (i, &pv) in self.plan.order.iter().enumerate() {
-                flat[pv.index()] = assignment[i];
+                flat[pv.index()] = cx.assignment[i];
             }
-            results.push(Embedding { assignment: flat });
-            return results.len() >= limit;
+            cx.results.push(Embedding { assignment: flat });
+            return cx.results.len() >= cx.limit;
         }
-        let candidates: Vec<VertexId> = match self.plan.anchor[depth] {
+        let target = cx.target;
+        // One candidate buffer per depth, reused across sibling nodes.
+        let mut candidates = std::mem::take(&mut cx.candidates[depth]);
+        candidates.clear();
+        match self.plan.anchor[depth] {
             Some((m, l, out)) => {
                 // Label-indexed adjacency (binary-searched on frozen
                 // targets) with the new vertex's label folded in: the
-                // same candidates `feasible` would keep, visited in the
-                // same ascending edge-id order as the raw scan.
-                let tm = self.image(assignment, m);
-                let mut c = Vec::new();
+                // same candidates `feasible` would keep, visited in
+                // ascending edge-id order.
+                let tm = cx.assignment[m];
                 if out {
                     // pattern edge new->m: candidates are sources of
                     // in-edges of image(m) with label l.
-                    target.visit_in_matching(tm, l, self.vlabels[depth], &mut |_, s| c.push(s));
+                    target.visit_in_matching(tm, l, self.vlabels[depth], &mut |_, s| {
+                        candidates.push(s)
+                    });
                 } else {
-                    target.visit_out_matching(tm, l, self.vlabels[depth], &mut |_, d| c.push(d));
+                    target.visit_out_matching(tm, l, self.vlabels[depth], &mut |_, d| {
+                        candidates.push(d)
+                    });
                 }
-                c
+                // Parallel target edges repeat an endpoint; keep its first
+                // occurrence. A target known to be simple has none.
+                if !target.is_simple() {
+                    let mut seen: FxHashSet<VertexId> = FxHashSet::default();
+                    candidates.retain(|&c| seen.insert(c));
+                }
             }
             None => match self.plan.root_edge[depth] {
                 // Harvest roots from matching-label edge endpoints and
                 // visit them in ascending id order — the same order (and
-                // a subset) of the full vertex scan, so enumeration
-                // output is unchanged; vertices lacking the required
-                // incident edge could never complete an embedding.
+                // a subset) of the full vertex scan; vertices lacking the
+                // required incident edge could never complete an
+                // embedding.
                 Some((l, out)) => {
-                    let mut roots: Vec<VertexId> = target
-                        .edges()
-                        .filter(|&e| target.edge_label(e) == l)
-                        .map(|e| {
+                    candidates.extend(target.edges().filter(|&e| target.edge_label(e) == l).map(
+                        |e| {
                             if out {
                                 target.edge_src(e)
                             } else {
                                 target.edge_dst(e)
                             }
-                        })
-                        .collect();
-                    roots.sort_unstable();
-                    roots.dedup();
-                    roots
+                        },
+                    ));
+                    candidates.sort_unstable();
+                    candidates.dedup();
                 }
-                None => target.vertices().collect(),
+                None => candidates.extend(target.vertices()),
             },
-        };
-        let twin_floor = if prune_twins {
-            self.plan.twin_prev[depth].map(|j| assignment[j])
+        }
+        let twin_floor = if cx.prune_twins {
+            self.plan.twin_prev[depth].map(|j| cx.assignment[j])
         } else {
             None
         };
-        let mut local_seen: FxHashSet<VertexId> = FxHashSet::default();
-        for c in candidates {
-            if used.contains(&c) || !local_seen.insert(c) {
-                continue;
-            }
+        let mut done = false;
+        for &c in &candidates {
             // Interchangeable twin leaves: only ascending-id assignments
             // (each unordered choice of images is explored once).
-            if twin_floor.is_some_and(|f| c <= f) {
+            if cx.used.contains(&c) || twin_floor.is_some_and(|f| c <= f) {
                 continue;
             }
-            if !self.feasible(target, assignment, depth, c) {
+            if !self.feasible(target, &cx.assignment, depth, c) {
                 continue;
             }
-            assignment.push(c);
-            used.insert(c);
-            let done = self.recurse(target, assignment, used, results, limit, prune_twins);
-            assignment.pop();
-            used.remove(&c);
+            cx.assignment.push(c);
+            cx.used.insert(c);
+            done = self.recurse(cx);
+            cx.assignment.pop();
+            cx.used.remove(&c);
             if done {
-                return true;
+                break;
             }
         }
-        false
+        cx.candidates[depth] = candidates;
+        done
     }
+}
+
+/// Mutable state of one [`Matcher`] search.
+struct Search<'t, G> {
+    target: &'t G,
+    /// Images of `order[0..depth]`.
+    assignment: Vec<VertexId>,
+    used: FxHashSet<VertexId>,
+    /// Candidate buffer per depth.
+    candidates: Vec<Vec<VertexId>>,
+    results: Vec<Embedding>,
+    limit: usize,
+    prune_twins: bool,
+    /// Search nodes visited (one per `recurse` call).
+    nodes: u64,
 }
 
 /// How a child pattern grows its parent by exactly one edge.
@@ -596,7 +774,8 @@ pub fn derive_extension(parent_vertices: usize, child: &Graph) -> Option<Extensi
 /// enumerates each child occurrence exactly once: distinct
 /// `(parent embedding, new endpoint)` pairs yield distinct child
 /// embeddings, and parallel target edges to the same endpoint are
-/// deduplicated in place.
+/// deduplicated in place (a scan skipped on targets known to be simple,
+/// see [`GraphView::is_simple`], which have no parallel edges).
 ///
 /// Candidate edges come from [`GraphView::visit_out_matching`] /
 /// [`GraphView::visit_in_matching`]: a linear label scan on the arena, a
@@ -643,6 +822,11 @@ pub fn extend_embedding_row<G: GraphView>(
     ext: &Extension,
     out: &mut Vec<VertexId>,
 ) {
+    // Parallel edges reach the same endpoint; a child is emitted once by
+    // scanning the children already emitted for this row. That scan is
+    // quadratic in a hub's spoke count, so it runs only when the target
+    // may repeat a (src, dst, label) triple.
+    let dedup = !target.is_simple();
     match *ext {
         Extension::NewDst {
             src,
@@ -657,10 +841,10 @@ pub fn extend_embedding_row<G: GraphView>(
                 if row.contains(&td) {
                     return;
                 }
-                // Parallel edges reach the same endpoint; emit it once.
-                if out[start..]
-                    .chunks_exact(stride)
-                    .any(|c| c[stride - 1] == td)
+                if dedup
+                    && out[start..]
+                        .chunks_exact(stride)
+                        .any(|c| c[stride - 1] == td)
                 {
                     return;
                 }
@@ -681,9 +865,10 @@ pub fn extend_embedding_row<G: GraphView>(
                 if row.contains(&ts) {
                     return;
                 }
-                if out[start..]
-                    .chunks_exact(stride)
-                    .any(|c| c[stride - 1] == ts)
+                if dedup
+                    && out[start..]
+                        .chunks_exact(stride)
+                        .any(|c| c[stride - 1] == ts)
                 {
                     return;
                 }
@@ -1267,5 +1452,256 @@ mod tests {
         t.add_edge(ta, tb, ELabel(0));
         t.add_edge(tc, td, ELabel(0));
         assert!(has_embedding(&p, &t));
+    }
+
+    /// A hub-transaction negative of the kind that dominates paper-scale
+    /// mining: a path with a rare-labelled tail hanging off a hub pattern,
+    /// against a 70-spoke hub whose spokes form a ring. A plan that matches
+    /// the twin spokes before the rare `b` edge tries every (hub, spoke,
+    /// spoke pair) combination: 326,167 search nodes. Core-first order
+    /// plus label-count domination settles it at the spoke that would
+    /// need a `b` out-edge, in 72.
+    #[test]
+    fn hub_negative_with_rare_tail_is_settled_early() {
+        let (a, b) = (ELabel(0), ELabel(1));
+        let mut p = Graph::new();
+        let v: Vec<VertexId> = (0..6).map(|_| p.add_vertex(VLabel(0))).collect();
+        p.add_edge(v[0], v[1], a);
+        p.add_edge(v[2], v[0], a);
+        p.add_edge(v[2], v[3], a);
+        p.add_edge(v[2], v[4], a);
+        p.add_edge(v[1], v[5], b);
+
+        let mut t = Graph::new();
+        let hub = t.add_vertex(VLabel(0));
+        let spokes: Vec<VertexId> = (0..70).map(|_| t.add_vertex(VLabel(0))).collect();
+        for (i, &s) in spokes.iter().enumerate() {
+            t.add_edge(hub, s, a);
+            t.add_edge(s, spokes[(i + 1) % spokes.len()], a);
+        }
+        let x = t.add_vertex(VLabel(0));
+        let y = t.add_vertex(VLabel(0));
+        t.add_edge(x, y, b);
+        let t = t.freeze();
+
+        assert!(!has_embedding(&p, &t));
+        let mut nodes = 0;
+        assert!(!Matcher::new(&p).matches_counting(&t, &mut nodes));
+        assert!(nodes <= 1_000, "{nodes} search nodes");
+    }
+
+    /// Every injective, label-preserving map of `p`'s vertices into `t`'s
+    /// that carries each pattern edge `(u, v, l)` onto as many target
+    /// edges as the pattern has — the definition, enumerated directly.
+    fn brute_force_embeddings(p: &Graph, t: &Graph) -> Vec<Vec<VertexId>> {
+        fn go(p: &Graph, t: &Graph, row: &mut Vec<VertexId>, out: &mut Vec<Vec<VertexId>>) {
+            if row.len() == p.vertex_count() {
+                let count = |g: &Graph, s: VertexId, d: VertexId, l: ELabel| {
+                    g.edges().filter(|&e| g.edge(e) == (s, d, l)).count()
+                };
+                let ok = p.edges().all(|e| {
+                    let (s, d, l) = p.edge(e);
+                    count(t, row[s.index()], row[d.index()], l) >= count(p, s, d, l)
+                });
+                if ok {
+                    out.push(row.clone());
+                }
+                return;
+            }
+            let pv = VertexId(row.len() as u32);
+            for tv in t.vertices() {
+                if !row.contains(&tv) && t.vertex_label(tv) == p.vertex_label(pv) {
+                    row.push(tv);
+                    go(p, t, row, out);
+                    row.pop();
+                }
+            }
+        }
+        let mut out = Vec::new();
+        go(p, t, &mut Vec::new(), &mut out);
+        out.sort();
+        out
+    }
+
+    /// A random target of at most 9 vertices. The mix covers uniform
+    /// vertex labels, a hub, self-loops, 2-cycles and parallel edges with
+    /// equal and with different labels.
+    fn random_target(rng: &mut crate::rng::StdRng, case: usize) -> Graph {
+        use crate::rng::Rng;
+        let n = rng.gen_range(2..=9usize);
+        let vlabels: u32 = if case.is_multiple_of(2) { 1 } else { 2 };
+        let mut t = Graph::new();
+        let vs: Vec<VertexId> = (0..n)
+            .map(|_| t.add_vertex(VLabel(rng.gen_range(0..vlabels))))
+            .collect();
+        if case.is_multiple_of(3) {
+            for &s in &vs[1..] {
+                t.add_edge(vs[0], s, ELabel(0));
+            }
+        }
+        for _ in 0..rng.gen_range(0..=2 * n) {
+            let s = vs[rng.gen_range(0..n)];
+            let d = vs[rng.gen_range(0..n)];
+            let l = ELabel(rng.gen_range(0..2u32));
+            t.add_edge(s, d, l);
+            match rng.gen_range(0..6u32) {
+                0 => {
+                    t.add_edge(s, d, l);
+                }
+                1 => {
+                    t.add_edge(s, d, ELabel(1 - l.0));
+                }
+                2 => {
+                    t.add_edge(d, s, l);
+                }
+                3 => {
+                    t.add_edge(s, s, l);
+                }
+                _ => {}
+            }
+        }
+        t
+    }
+
+    /// A random pattern of at most 5 vertices: half the time a connected
+    /// piece of the target (so embeddings exist), otherwise arbitrary.
+    fn random_pattern(rng: &mut crate::rng::StdRng, t: &Graph) -> Graph {
+        use crate::rng::Rng;
+        let mut p = Graph::new();
+        if rng.gen::<bool>() && t.edge_count() > 0 {
+            let edges: Vec<_> = t.edges().collect();
+            let start = edges[rng.gen_range(0..edges.len())];
+            let mut picked = vec![start];
+            for _ in 0..rng.gen_range(0..5usize) {
+                let touching: Vec<_> = edges
+                    .iter()
+                    .copied()
+                    .filter(|e| !picked.contains(e))
+                    .filter(|&e| {
+                        let (s, d, _) = t.edge(e);
+                        picked.iter().any(|&f| {
+                            let (fs, fd, _) = t.edge(f);
+                            [fs, fd].contains(&s) || [fs, fd].contains(&d)
+                        })
+                    })
+                    .collect();
+                let Some(&e) = touching.get(rng.gen_range(0..touching.len().max(1))) else {
+                    break;
+                };
+                let (sub, _) = t.edge_subgraph(&[picked.clone(), vec![e]].concat());
+                if sub.vertex_count() > 5 {
+                    break;
+                }
+                picked.push(e);
+            }
+            return t.edge_subgraph(&picked).0;
+        }
+        let n = rng.gen_range(1..=5usize);
+        let vs: Vec<VertexId> = (0..n)
+            .map(|_| p.add_vertex(VLabel(rng.gen_range(0..2u32))))
+            .collect();
+        for _ in 0..rng.gen_range(0..=n + 1) {
+            let s = vs[rng.gen_range(0..n)];
+            let d = vs[rng.gen_range(0..n)];
+            p.add_edge(s, d, ELabel(rng.gen_range(0..2u32)));
+        }
+        p
+    }
+
+    fn sorted_rows(embs: &[Embedding]) -> Vec<Vec<VertexId>> {
+        let mut rows: Vec<Vec<VertexId>> = embs.iter().map(|e| e.as_row().to_vec()).collect();
+        rows.sort();
+        rows
+    }
+
+    #[test]
+    fn matcher_agrees_with_brute_force_enumeration() {
+        let mut rng = crate::rng::StdRng::seed_from_u64(0x150_2018);
+        let mut positives = 0;
+        for case in 0..400 {
+            let t = random_target(&mut rng, case);
+            let p = random_pattern(&mut rng, &t);
+            let want = brute_force_embeddings(&p, &t);
+            let m = Matcher::new(&p);
+            let frozen = t.freeze();
+            for (form, got) in [
+                ("arena", m.find_unpruned(&t, Find::All)),
+                ("frozen", m.find_unpruned(&frozen, Find::All)),
+            ] {
+                assert_eq!(
+                    sorted_rows(&got),
+                    want,
+                    "case {case} ({form}): {p:?} in {t:?}"
+                );
+            }
+            assert_eq!(m.matches(&t), !want.is_empty(), "case {case}");
+            assert_eq!(m.matches(&frozen), !want.is_empty(), "case {case}");
+            // Twin pruning keeps a subset that still witnesses existence.
+            let pruned = sorted_rows(&m.find(&t, Find::All));
+            assert!(pruned.iter().all(|r| want.binary_search(r).is_ok()));
+            assert_eq!(pruned.is_empty(), want.is_empty());
+            positives += usize::from(!want.is_empty());
+        }
+        assert!(positives > 150, "{positives} cases with an embedding");
+    }
+
+    #[test]
+    fn extension_emits_each_child_once_on_both_forms() {
+        use crate::rng::Rng;
+        let mut rng = crate::rng::StdRng::seed_from_u64(7);
+        let mut multigraph_cases = 0;
+        for case in 0..300 {
+            let t = random_target(&mut rng, case);
+            let parent = random_pattern(&mut rng, &t);
+            if parent.vertex_count() == 0 || parent.vertex_count() >= 5 {
+                continue;
+            }
+            // Grow the parent by one edge the way the miners do: a new
+            // leaf in either direction, or a closing edge.
+            let mut child = parent.clone();
+            let n = parent.vertex_count() as u32;
+            let u = VertexId(rng.gen_range(0..n));
+            let l = ELabel(rng.gen_range(0..2u32));
+            match rng.gen_range(0..3u32) {
+                0 => {
+                    let w = child.add_vertex(VLabel(rng.gen_range(0..2u32)));
+                    child.add_edge(u, w, l);
+                }
+                1 => {
+                    let w = child.add_vertex(VLabel(rng.gen_range(0..2u32)));
+                    child.add_edge(w, u, l);
+                }
+                _ => {
+                    let w = VertexId(rng.gen_range(0..n));
+                    if parent.edges().any(|e| parent.edge(e) == (u, w, l)) {
+                        continue;
+                    }
+                    child.add_edge(u, w, l);
+                }
+            }
+            let ext = derive_extension(parent.vertex_count(), &child).expect("one-edge growth");
+            let frozen = t.freeze();
+            multigraph_cases += usize::from(!frozen.is_simple());
+            let stride = child_stride(parent.vertex_count(), &ext);
+            let (mut arena_rows, mut frozen_rows) = (Vec::new(), Vec::new());
+            for emb in Matcher::new(&parent).find_unpruned(&t, Find::All) {
+                extend_embedding_row(&t, emb.as_row(), &ext, &mut arena_rows);
+                extend_embedding_row(&frozen, emb.as_row(), &ext, &mut frozen_rows);
+            }
+            assert_eq!(arena_rows, frozen_rows, "case {case}");
+            let mut grown: Vec<Vec<VertexId>> = arena_rows
+                .chunks_exact(stride)
+                .map(<[VertexId]>::to_vec)
+                .collect();
+            grown.sort();
+            let before = grown.len();
+            grown.dedup();
+            assert_eq!(grown.len(), before, "case {case}: a child emitted twice");
+            assert_eq!(grown, brute_force_embeddings(&child, &t), "case {case}");
+        }
+        assert!(
+            multigraph_cases > 50,
+            "{multigraph_cases} multigraph targets"
+        );
     }
 }

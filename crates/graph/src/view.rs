@@ -130,12 +130,37 @@ pub trait GraphView {
         }
     }
 
+    /// Number of edges [`GraphView::visit_out_matching`] would visit.
+    /// Frozen implementations return the length of their binary-searched
+    /// run without walking it.
+    fn count_out_matching(&self, v: VertexId, el: ELabel, vl: VLabel) -> usize {
+        let mut n = 0;
+        self.visit_out_matching(v, el, vl, &mut |_, _| n += 1);
+        n
+    }
+
+    /// Number of edges [`GraphView::visit_in_matching`] would visit.
+    fn count_in_matching(&self, v: VertexId, el: ELabel, vl: VLabel) -> usize {
+        let mut n = 0;
+        self.visit_in_matching(v, el, vl, &mut |_, _| n += 1);
+        n
+    }
+
     /// True if at least one edge `s -> d` with label `el` exists.
     fn has_edge_labeled(&self, s: VertexId, d: VertexId, el: ELabel) -> bool {
         self.out_edges(s).any(|e| {
             let (_, dd, l) = self.edge(e);
             dd == d && l == el
         })
+    }
+
+    /// True if the graph is known to be *simple*: no `(src, dst, label)`
+    /// triple repeats (self-loops are allowed). Frozen forms record this
+    /// at freeze time; the mutable arena answers `false` ("may repeat").
+    /// Callers use it only to skip duplicate-endpoint checks, so `false`
+    /// is always a correct answer.
+    fn is_simple(&self) -> bool {
+        false
     }
 
     /// Structural fingerprint of `v` (see [`crate::fingerprint`]): a
@@ -286,8 +311,20 @@ impl<T: GraphView + ?Sized> GraphView for &T {
         (**self).visit_in_matching(v, el, vl, f)
     }
 
+    fn count_out_matching(&self, v: VertexId, el: ELabel, vl: VLabel) -> usize {
+        (**self).count_out_matching(v, el, vl)
+    }
+
+    fn count_in_matching(&self, v: VertexId, el: ELabel, vl: VLabel) -> usize {
+        (**self).count_in_matching(v, el, vl)
+    }
+
     fn has_edge_labeled(&self, s: VertexId, d: VertexId, el: ELabel) -> bool {
         (**self).has_edge_labeled(s, d, el)
+    }
+
+    fn is_simple(&self) -> bool {
+        (**self).is_simple()
     }
 
     fn vertex_fp(&self, v: VertexId) -> u64 {

@@ -46,8 +46,14 @@ fn fsg_output_identical_at_any_thread_count() {
             "FSG output diverged at {threads} threads"
         );
         assert_eq!(out.stats.iso_tests, baseline.stats.iso_tests);
+        assert_eq!(out.stats.iso_nodes, baseline.stats.iso_nodes);
+        assert_eq!(out.stats.iso_nodes_max, baseline.stats.iso_nodes_max);
         assert_eq!(out.stats.closure_pruned, baseline.stats.closure_pruned);
     }
+    assert!(
+        baseline.stats.iso_nodes > 0,
+        "the workload runs no scratch VF2, so the search-node counters go unchecked"
+    );
 }
 
 #[test]
