@@ -80,8 +80,8 @@ out=$("$TNET" "${REPORT_ARGS[@]}")
 grep -q '^sections: 13 ok, 0 degraded, 0 failed$' <<<"$out"
 
 echo "== frozen-vs-arena differential: miners agree across representations"
-# FSG, gSpan, and SUBDUE mined through the frozen-CSR snapshot must match
-# the arena path byte-for-byte (patterns, supports, TIDs, instance ids).
+# FSG and SUBDUE mined through the frozen-CSR snapshot must match the
+# arena path byte-for-byte (patterns, supports, TIDs, instance ids).
 cargo test -q -p tnet-core --offline --test determinism \
     frozen_and_arena_miners_agree
 
@@ -213,7 +213,7 @@ rm -f /tmp/tnet_ci_temporal_inc.out /tmp/tnet_ci_temporal_full.out \
     /tmp/tnet_ci_temporal_bad.csv /tmp/tnet_ci_temporal_bad.err
 
 echo "== bench smoke: miner report emits valid JSON, iso_tests under gate"
-# The smoke run times all three miners once, writes the report, and exits
+# The smoke run times both miners once, writes the report, and exits
 # non-zero if FSG's deterministic iso_tests counter on the default
 # workload regresses past the 5x-drop gate baked into the binary. The run
 # itself asserts that the frozen and arena paths mine byte-identical
@@ -228,9 +228,9 @@ cargo run --release -q -p tnet-bench --offline --bin bench_miners -- \
     --smoke --out "$BENCH_OUT"
 cargo run --release -q -p tnet-bench --offline --bin bench_miners -- \
     --validate "$BENCH_OUT"
-# The committed full report must pass the same gates, plus the gSpan
-# large_txn row showing embedding propagation beating scratch VF2
-# (smoke runs skip that workload).
+# The committed full report must pass the same gates, plus the rows
+# smoke runs skip (seed sensitivity, the ≥10× neighborhood row, and the
+# day-window incremental win).
 cargo run --release -q -p tnet-bench --offline --bin bench_miners -- \
     --validate BENCH_miners.json
 # The CLI's trace export (written above) must satisfy the same
@@ -304,6 +304,36 @@ grep -q 'shutdown complete' "$SERVE_LOG"
 "$TNET" trace --input "$SERVE_TRACE" > /tmp/tnet_ci_serve_trace.out
 grep -q 'serve.cache_hits' /tmp/tnet_ci_serve_trace.out
 rm -f "$SERVE_PORT_FILE" "$SERVE_LOG" "$SERVE_TRACE" /tmp/tnet_ci_serve_trace.out
+
+echo "== stuck-reader smoke: a client that never reads cannot hold shutdown"
+# One connection pipelines 20,000 stats requests and never reads a
+# reply, so the daemon's reply writes stall on full socket buffers. A
+# second connection asks for shutdown; the daemon must still exit
+# cleanly within the bound.
+"$TNET" serve --scale 0.005 --seed 42 --shutdown-on-stdin-eof false \
+    --port-file "$SERVE_PORT_FILE" > "$SERVE_LOG" &
+SERVE_PID=$!
+for _ in $(seq 1 300); do
+    [ -s "$SERVE_PORT_FILE" ] && break
+    kill -0 "$SERVE_PID" 2>/dev/null || { cat "$SERVE_LOG"; exit 1; }
+    sleep 0.1
+done
+exec 4<>"/dev/tcp/127.0.0.1/$(cat "$SERVE_PORT_FILE")"
+{ yes '{"op":"stats"}' | head -n 20000 >&4; } 2>/dev/null &
+STUCK_WRITER=$!
+sleep 1    # let the daemon's reply writes run into the full buffers
+serve_connect "$(cat "$SERVE_PORT_FILE")"
+printf '%s\n' '{"op":"shutdown"}' >&3
+timeout 30 tail --pid="$SERVE_PID" -f /dev/null || {
+    echo "stuck-reader smoke: daemon still running 30 s after shutdown" >&2
+    kill "$SERVE_PID"
+    exit 1
+}
+wait "$SERVE_PID"
+exec 3<&- 3>&- 4<&- 4>&-
+wait "$STUCK_WRITER" || true
+grep -q 'shutdown complete' "$SERVE_LOG"
+rm -f "$SERVE_PORT_FILE" "$SERVE_LOG"
 
 echo "== durability smoke: acknowledged writes survive SIGKILL"
 # A durable daemon ingests acknowledged batches and is SIGKILLed with no

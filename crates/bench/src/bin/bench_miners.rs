@@ -1,4 +1,4 @@
-//! Offline miner micro-bench: times FSG, gSpan, and SUBDUE on seeded
+//! Offline miner micro-bench: times FSG and SUBDUE on seeded
 //! synthetic workloads and writes `BENCH_miners.json` — the start of the
 //! repo's perf trajectory. No network, no criterion; run with
 //!
@@ -11,12 +11,12 @@
 //!   workload, keeps the deterministic `iso_tests` gate)
 //! - `--out PATH`     output path (default `BENCH_miners.json`)
 //! - `--seed N`       synthetic-dataset seed (default 42)
-//! - `--validate PATH` parse an existing report, check all three miners
-//!   and the embedded trace block are present, and exit — no benching
+//! - `--validate PATH` parse an existing report, check both miners and
+//!   the embedded trace block are present, and exit — no benching
 //! - `--validate-trace PATH` parse a standalone `tnet-trace/v1` document
 //!   (the CLI's `--trace-json` output) and exit — no benching
 //!
-//! Every FSG/gSpan workload is run twice: with embedding propagation (the
+//! Every FSG workload is run twice: with embedding propagation (the
 //! default cap) and with `embedding_cap = 0` (scratch VF2, the
 //! pre-optimization behavior), so each report carries its own
 //! speedup-vs-scratch number. The process exits non-zero if the
@@ -37,7 +37,6 @@ use tnet_fsg::{mine, mine_neighborhoods, mine_source, mine_with, FsgConfig, Nbhd
 use tnet_graph::frozen::{FrozenStats, TxnSet};
 use tnet_graph::graph::Graph;
 use tnet_graph::rng::StdRng;
-use tnet_gspan::{mine_dfs, mine_dfs_with, GspanConfig};
 use tnet_obs::json::{self, JVal};
 use tnet_partition::single_graph::mine_single_graph;
 use tnet_partition::split::{split_graph, Strategy};
@@ -116,7 +115,7 @@ fn parse_opts() -> Result<Opts, String> {
     Ok(opts)
 }
 
-/// The shared FSG/gSpan workload: a synthetic OD graph split into
+/// The shared FSG workload: a synthetic OD graph split into
 /// transaction subgraphs, exactly as `tnet mine` and the report pipeline
 /// do it.
 fn split_workload(scale: f64, seed: u64, k: usize) -> Vec<Graph> {
@@ -186,54 +185,6 @@ fn fsg_row(
         ("patterns", JVal::Num(out.patterns.len() as f64)),
     ]);
     (row, out.stats.iso_tests)
-}
-
-fn gspan_row(name: &str, txns: &[Graph], support: usize, max_edges: usize, samples: usize) -> JVal {
-    let cfg = |cap: usize| GspanConfig {
-        min_support: Support::Count(support),
-        max_edges,
-        embedding_cap: cap,
-        ..Default::default()
-    };
-    let prop_cfg = cfg(GspanConfig::default().embedding_cap);
-    let scratch_cfg = cfg(0);
-    let t = bench(&format!("gspan/{name}"), samples, || {
-        mine_dfs(txns, &prop_cfg).unwrap()
-    });
-    let out = mine_dfs(txns, &prop_cfg).unwrap();
-    let ts = bench(&format!("gspan/{name}/scratch"), samples, || {
-        mine_dfs(txns, &scratch_cfg).unwrap()
-    });
-    let out_s = mine_dfs(txns, &scratch_cfg).unwrap();
-    assert_eq!(
-        out.patterns.len(),
-        out_s.patterns.len(),
-        "propagated and scratch runs must mine the same pattern set"
-    );
-    JVal::obj([
-        ("workload", JVal::Str(name.into())),
-        ("wall_ms", JVal::Num(t.best_ms())),
-        ("wall_ms_scratch", JVal::Num(ts.best_ms())),
-        (
-            "speedup_vs_scratch",
-            JVal::Num(ts.best_ms() / t.best_ms().max(1e-9)),
-        ),
-        ("iso_tests", JVal::Num(out.stats.iso_tests as f64)),
-        ("iso_tests_scratch", JVal::Num(out_s.stats.iso_tests as f64)),
-        (
-            "embeddings_extended",
-            JVal::Num(out.stats.embeddings_extended as f64),
-        ),
-        (
-            "embeddings_spilled",
-            JVal::Num(out.stats.embeddings_spilled as f64),
-        ),
-        (
-            "peak_candidate_bytes",
-            JVal::Num(out.stats.peak_live_bytes as f64),
-        ),
-        ("patterns", JVal::Num(out.patterns.len() as f64)),
-    ])
 }
 
 fn subdue_row(scale: f64, seed: u64, vertices: usize, samples: usize) -> JVal {
@@ -614,11 +565,6 @@ fn traced_block(default_txns: &[Graph], subdue_graph: &Graph) -> JVal {
     let fsg_cfg = FsgConfig::default()
         .with_support(Support::Count(4))
         .with_max_edges(4);
-    let gspan_cfg = GspanConfig {
-        min_support: Support::Count(4),
-        max_edges: 4,
-        ..Default::default()
-    };
     let subdue_cfg = SubdueConfig {
         max_size: 10,
         ..Default::default()
@@ -627,7 +573,6 @@ fn traced_block(default_txns: &[Graph], subdue_graph: &Graph) -> JVal {
     {
         let _total = exec.span().timer();
         mine_with(default_txns, &fsg_cfg, &exec).expect("traced fsg run");
-        mine_dfs_with(default_txns, &gspan_cfg, &exec).expect("traced gspan run");
         discover_with(subdue_graph, &subdue_cfg, &exec).expect("traced subdue run");
     }
     exec.counters().record_into(&registry);
@@ -657,7 +602,7 @@ fn validate(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let doc = json::parse(&text, json::TRACE_MAX_DEPTH, "report")?;
     let miners = doc.get("miners").ok_or("report has no 'miners' object")?;
-    for miner in ["fsg", "gspan", "subdue"] {
+    for miner in ["fsg", "subdue"] {
         match miners.get(miner) {
             Some(JVal::Arr(rows)) if !rows.is_empty() => {}
             _ => return Err(format!("report is missing miner '{miner}'")),
@@ -676,8 +621,6 @@ fn validate(path: &str) -> Result<(), String> {
         "exec.chunk_items",
         "fsg.bitset_intersections",
         "fsg.soa_bytes",
-        "gspan.fingerprint_rejects",
-        "gspan.soa_bytes",
         "subdue.fingerprint_rejects",
     ] {
         if !metrics.contains_key(key) {
@@ -803,28 +746,8 @@ fn validate(path: &str) -> Result<(), String> {
              (max scale_factor {max_scale:.1})"
         ));
     }
-    // gSpan's embedding propagation is kept because it beats scratch
-    // VF2 on the dense large_txn workload; a full report carries that
-    // row and must still show the win.
-    if !is_smoke {
-        let large = match miners.get("gspan") {
-            Some(JVal::Arr(rows)) => rows
-                .iter()
-                .find(|r| matches!(r.get("workload"), Some(JVal::Str(s)) if s == "large_txn")),
-            _ => None,
-        }
-        .ok_or("full report has no gspan large_txn row")?;
-        let speedup = num(large, "speedup_vs_scratch")
-            .map_err(|_| "gspan/large_txn row missing 'speedup_vs_scratch'".to_string())?;
-        if speedup <= 1.0 {
-            return Err(format!(
-                "REGRESSION — gspan/large_txn speedup_vs_scratch = {speedup:.2}; \
-                 embedding propagation no longer beats scratch VF2"
-            ));
-        }
-    }
     println!(
-        "{path}: valid, all three miners, trace block with graph.*/layout counters, \
+        "{path}: valid, both miners, trace block with graph.*/layout counters, \
          and support_count block present (frozen/arena = {ratio:.2})"
     );
     Ok(())
@@ -869,13 +792,11 @@ fn main() -> ExitCode {
 
     let (fsg_default, default_iso) = fsg_row("default", &default_txns, 4, 4, samples);
     let mut fsg_rows = vec![fsg_default];
-    let mut gspan_rows = vec![gspan_row("default", &default_txns, 4, 4, samples)];
     if !opts.smoke {
         // Large-transaction split: few, dense transactions — the shape
         // where scratch VF2 hurts most and propagation pays off hardest.
         let large_txns = split_workload(0.2, opts.seed, 4);
         fsg_rows.push(fsg_row("large_txn", &large_txns, 4, 4, samples).0);
-        gspan_rows.push(gspan_row("large_txn", &large_txns, 4, 4, samples));
     }
     let support_count = support_count_row("default", &default_txns, 4, 4, samples);
     let mut pvn_rows = vec![partition_vs_neighborhood_row(
@@ -923,7 +844,6 @@ fn main() -> ExitCode {
             "miners",
             JVal::obj([
                 ("fsg", JVal::Arr(fsg_rows)),
-                ("gspan", JVal::Arr(gspan_rows)),
                 ("subdue", JVal::Arr(subdue_rows)),
             ]),
         ),

@@ -1,5 +1,5 @@
 //! `tnet mine` — frequent-pattern mining on the OD graph via Algorithm 1
-//! (partition + FSG/gSpan), with shape classification and optional
+//! (partition + FSG), with shape classification and optional
 //! maximal filtering.
 
 use crate::args::{ArgError, Args};

@@ -11,7 +11,6 @@ use std::time::Duration;
 use tnet_data::binning::BinFitError;
 use tnet_data::csv::CsvError;
 use tnet_fsg::FsgError;
-use tnet_gspan::GspanError;
 use tnet_partition::TemporalError;
 use tnet_subdue::SubdueError;
 use tnet_tabular::EmError;
@@ -27,8 +26,6 @@ pub enum PipelineError {
     Fsg(FsgError),
     /// The SUBDUE beam search aborted.
     Subdue(SubdueError),
-    /// The depth-first (gSpan-style) miner aborted.
-    Gspan(GspanError),
     /// The EM clustering fit aborted.
     Em(EmError),
     /// A supervised section overran its wall-clock deadline.
@@ -77,7 +74,6 @@ impl PipelineError {
             self,
             PipelineError::Fsg(FsgError::MemoryBudgetExceeded { .. })
                 | PipelineError::Subdue(SubdueError::MemoryBudgetExceeded { .. })
-                | PipelineError::Gspan(GspanError::MemoryBudgetExceeded { .. })
                 | PipelineError::DeadlineExceeded { .. }
                 | PipelineError::Overloaded { .. }
         )
@@ -92,7 +88,6 @@ impl PipelineError {
             PipelineError::BinFit(_) => "bin_fit",
             PipelineError::Fsg(_) => "fsg",
             PipelineError::Subdue(_) => "subdue",
-            PipelineError::Gspan(_) => "gspan",
             PipelineError::Em(_) => "em",
             PipelineError::DeadlineExceeded { .. } => "deadline",
             PipelineError::Panic { .. } => "panic",
@@ -115,7 +110,6 @@ impl PipelineError {
             PipelineError::Cancelled
                 | PipelineError::Fsg(FsgError::Cancelled)
                 | PipelineError::Subdue(SubdueError::Cancelled)
-                | PipelineError::Gspan(GspanError::Cancelled)
                 | PipelineError::Em(EmError::Cancelled)
         )
     }
@@ -128,7 +122,6 @@ impl fmt::Display for PipelineError {
             PipelineError::BinFit(e) => write!(f, "{e}"),
             PipelineError::Fsg(e) => write!(f, "fsg: {e}"),
             PipelineError::Subdue(e) => write!(f, "subdue: {e}"),
-            PipelineError::Gspan(e) => write!(f, "gspan: {e}"),
             PipelineError::Em(e) => write!(f, "em: {e}"),
             PipelineError::DeadlineExceeded { section, limit } => {
                 write!(f, "section `{section}` exceeded its {limit:?} deadline")
@@ -182,12 +175,6 @@ impl From<FsgError> for PipelineError {
 impl From<SubdueError> for PipelineError {
     fn from(e: SubdueError) -> Self {
         PipelineError::Subdue(e)
-    }
-}
-
-impl From<GspanError> for PipelineError {
-    fn from(e: GspanError) -> Self {
-        PipelineError::Gspan(e)
     }
 }
 
@@ -275,8 +262,8 @@ mod tests {
 
     #[test]
     fn display_includes_layer() {
-        let e = PipelineError::Gspan(GspanError::Cancelled);
-        assert!(e.to_string().starts_with("gspan: "));
+        let e = PipelineError::Fsg(FsgError::Cancelled);
+        assert!(e.to_string().starts_with("fsg: "));
         let e = PipelineError::DeadlineExceeded {
             section: "E5: sweep".into(),
             limit: Duration::from_millis(250),

@@ -1,4 +1,4 @@
-//! Extension experiments (E17–E21): the paper's §9 research-challenge
+//! Extension experiments (E17–E19): the paper's §9 research-challenge
 //! list, built and measured.
 //!
 //! | id  | §9 challenge | runner |
@@ -6,21 +6,13 @@
 //! | E17 | "periodicity in routes" | [`run_periodic`] |
 //! | E18 | "frequently repeated connection paths ... separated by a minimum or maximum time" | [`run_paths`] |
 //! | E19 | "events ... analysis of the fallout" | [`run_events`] |
-//! | E20 | "maximal graph patterns ... may address this challenge" | [`run_maximal`] |
-//! | E21 | §8's memory analysis: levelwise candidate sets vs depth-first growth | [`run_miner_comparison`] |
 
-use crate::error::PipelineError;
 use std::fmt;
 use tnet_data::binning::BinScheme;
 use tnet_data::model::{Date, LatLon, Transaction};
 use tnet_dynamic::events::{inject_event, pattern_fallout, Event, EventKind, FalloutReport};
 use tnet_dynamic::paths::{frequent_paths, PathConfig, PathPattern};
 use tnet_dynamic::periodic::{periodic_lanes, PeriodicConfig, PeriodicLane};
-use tnet_exec::Exec;
-use tnet_fsg::maximal::{filter_with_report, Keep, Reduction};
-use tnet_fsg::{mine, mine_with, FsgConfig, Support};
-use tnet_graph::graph::Graph;
-use tnet_gspan::{mine_dfs_with, GspanConfig};
 
 // ---------------------------------------------------------------------------
 // E17 — periodic lanes
@@ -177,131 +169,13 @@ impl fmt::Display for EventsResult {
     }
 }
 
-// ---------------------------------------------------------------------------
-// E20 — maximal/closed pattern filtering
-// ---------------------------------------------------------------------------
-
-/// E20 output.
-pub struct MaximalResult {
-    pub maximal: Reduction,
-    pub closed: Reduction,
-}
-
-/// Runs E20: mines a transaction set and reports how much the maximal
-/// and closed filters shrink the result — the paper's suggested answer
-/// to "many of these patterns turn out to be trivial or uninteresting".
-pub fn run_maximal(
-    transactions: &[Graph],
-    support: Support,
-) -> Result<MaximalResult, PipelineError> {
-    let cfg = FsgConfig::default().with_support(support).with_max_edges(5);
-    let out = mine(transactions, &cfg)?;
-    let (_, maximal) = filter_with_report(&out.patterns, Keep::Maximal);
-    let (_, closed) = filter_with_report(&out.patterns, Keep::Closed);
-    Ok(MaximalResult { maximal, closed })
-}
-
-impl fmt::Display for MaximalResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "=== E20: maximal/closed pattern filtering (Sec 9) ===")?;
-        writeln!(
-            f,
-            "all frequent: {}  ->  closed: {} ({:.0}%)  ->  maximal: {} ({:.0}%)",
-            self.maximal.before,
-            self.closed.after,
-            self.closed.ratio() * 100.0,
-            self.maximal.after,
-            self.maximal.ratio() * 100.0
-        )
-    }
-}
-
-// ---------------------------------------------------------------------------
-// E21 — levelwise vs depth-first mining
-// ---------------------------------------------------------------------------
-
-/// E21 output.
-pub struct MinerComparison {
-    pub patterns_fsg: usize,
-    pub patterns_gspan: usize,
-    /// FSG's peak per-level candidate count — the §8 memory bottleneck.
-    pub fsg_peak_candidates: usize,
-    /// The DFS miner's peak growth-stack depth — its memory analogue.
-    pub gspan_max_depth: usize,
-}
-
-/// Runs E21: both miners on the same transactions; outputs must agree,
-/// memory profiles must contrast.
-pub fn run_miner_comparison(
-    transactions: &[Graph],
-    support: Support,
-    exec: &Exec,
-) -> Result<MinerComparison, PipelineError> {
-    let fsg_out = mine_with(
-        transactions,
-        &FsgConfig::default().with_support(support).with_max_edges(4),
-        exec,
-    )?;
-    let gspan_out = mine_dfs_with(
-        transactions,
-        &GspanConfig {
-            min_support: support,
-            max_edges: 4,
-            ..Default::default()
-        },
-        exec,
-    )?;
-    Ok(MinerComparison {
-        patterns_fsg: fsg_out.patterns.len(),
-        patterns_gspan: gspan_out.patterns.len(),
-        fsg_peak_candidates: fsg_out
-            .stats
-            .candidates_per_level
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0),
-        gspan_max_depth: gspan_out.stats.max_depth,
-    })
-}
-
-impl fmt::Display for MinerComparison {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "=== E21: Apriori (FSG) vs pattern growth (gSpan-style) ==="
-        )?;
-        writeln!(
-            f,
-            "patterns: FSG {} vs DFS {}; peak memory: {} candidates (FSG level) vs {} stack depth (DFS)",
-            self.patterns_fsg, self.patterns_gspan, self.fsg_peak_candidates, self.gspan_max_depth
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tnet_data::synth::{generate, SynthConfig};
-    use tnet_partition::split::{split_graph, Strategy};
 
     fn data(scale: f64) -> Vec<Transaction> {
         generate(&SynthConfig::scaled(scale)).transactions
-    }
-
-    fn graph_transactions(scale: f64) -> Vec<Graph> {
-        let txns = data(scale);
-        let scheme = BinScheme::paper_defaults();
-        let od = tnet_data::od_graph::build_od_graph(
-            &txns,
-            &scheme,
-            tnet_data::od_graph::EdgeLabeling::GrossWeight,
-            tnet_data::od_graph::VertexLabeling::Uniform,
-        );
-        let mut g = od.graph;
-        g.dedup_edges();
-        let mut rng = tnet_graph::rng::StdRng::seed_from_u64(4);
-        split_graph(&g, 10, Strategy::BreadthFirst, &mut rng)
     }
 
     #[test]
@@ -347,33 +221,6 @@ mod tests {
         assert!(
             res.fallout.emergent().count() > 0,
             "slowdowns shift bins up"
-        );
-    }
-
-    #[test]
-    fn maximal_filter_reduces() {
-        let txns = graph_transactions(0.02);
-        let res = run_maximal(&txns, Support::Count(4)).unwrap();
-        assert!(res.maximal.before > 0);
-        assert!(res.maximal.after <= res.closed.after);
-        assert!(res.closed.after <= res.maximal.before);
-        assert!(
-            res.maximal.ratio() < 1.0,
-            "filtering should remove dominated sub-patterns"
-        );
-    }
-
-    #[test]
-    fn miners_agree_with_contrasting_memory() {
-        let txns = graph_transactions(0.015);
-        let res = run_miner_comparison(&txns, Support::Count(4), &Exec::new(2)).unwrap();
-        assert_eq!(
-            res.patterns_fsg, res.patterns_gspan,
-            "output sets must match"
-        );
-        assert!(
-            res.gspan_max_depth <= 4,
-            "DFS keeps only the growth path in memory"
         );
     }
 }

@@ -19,7 +19,7 @@
 //! | E15 | Figure 6 (cluster means) | [`conventional::run_cluster`] |
 //!
 //! Extensions past the paper's evaluation (its §9 challenge list) live in
-//! [`extensions`] (E17–E21).
+//! [`extensions`] (E17–E19).
 
 pub mod conventional;
 pub mod extensions;

@@ -12,7 +12,7 @@
 //!   cycles, bow-ties, deadheads) and interestingness scoring;
 //! * [`to_table`] — the §7 flattened transactional form;
 //! * [`experiments`] — one runner per table/figure of the paper
-//!   (E1–E15; see the module table).
+//!   (E1–E15, plus the E17–E19 extensions; see the module table).
 //!
 //! ```
 //! use tnet_core::pipeline::Pipeline;
@@ -24,7 +24,6 @@
 
 pub mod error;
 pub mod experiments;
-pub mod null_model;
 pub mod patterns;
 pub mod pipeline;
 pub mod supervisor;

@@ -69,12 +69,6 @@ impl Pipeline {
         })
     }
 
-    /// Overrides the binning scheme.
-    pub fn with_scheme(mut self, scheme: BinScheme) -> Pipeline {
-        self.scheme = scheme;
-        self
-    }
-
     pub fn transactions(&self) -> &[Transaction] {
         &self.transactions
     }

@@ -21,7 +21,7 @@ use tnet_exec::Exec;
 pub struct SupervisorConfig {
     /// Wall-clock limit per section attempt. The section's execution
     /// handle carries the deadline; cancellation-aware loops (SUBDUE
-    /// beam, FSG levels, gSpan growth, EM iterations, chunked pool
+    /// beam, FSG levels, EM iterations, chunked pool
     /// regions) observe it between units of work.
     pub section_deadline: Option<Duration>,
     /// Memory budget in bytes per section, passed to every miner the

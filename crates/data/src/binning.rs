@@ -30,45 +30,6 @@ impl Binner {
         Binner { edges }
     }
 
-    /// Equal-frequency bins from observed data: boundaries at the
-    /// quantiles of `values`. Duplicate boundaries (heavily repeated
-    /// values) are merged, so the result may have fewer than `bins` bins.
-    ///
-    /// # Panics
-    /// Panics if `values` is empty or `bins == 0`.
-    pub fn equal_frequency(values: &[f64], bins: usize) -> Binner {
-        assert!(bins > 0, "need at least one bin");
-        assert!(!values.is_empty(), "need data");
-        let mut sorted: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
-        assert!(!sorted.is_empty(), "need finite data");
-        // Defense in depth: the filter above drops non-finite values
-        // (ingest rejects them earlier with a typed error), but a NaN
-        // slipping through a future code path must degrade the ordering,
-        // not panic — `total_cmp` is total over all f64 bit patterns.
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        let n = sorted.len();
-        let mut edges = vec![sorted[0]];
-        for i in 1..bins {
-            // Quantile boundary, advanced to the next *distinct* value so
-            // heavily repeated values cannot swallow every boundary.
-            let mut j = (i * n / bins).min(n - 1);
-            while j < n && sorted[j] <= *edges.last().unwrap() {
-                j += 1;
-            }
-            if j < n {
-                edges.push(sorted[j]);
-            }
-        }
-        let last = sorted[n - 1];
-        if last > *edges.last().unwrap() {
-            edges.push(last);
-        } else {
-            // All values identical: make a degenerate single bin around it.
-            edges.push(edges[0] + 1.0);
-        }
-        Binner { edges }
-    }
-
     /// Explicit ascending boundaries (`bins + 1` of them).
     ///
     /// # Panics
@@ -215,34 +176,6 @@ impl BinScheme {
             distance: Binner::equal_width(dlo, dhi, 8),
         })
     }
-
-    /// Fits the paper's bin counts with **equal-frequency** boundaries —
-    /// an ahistorical alternative that maximizes label diversity. Kept
-    /// for ablations: it demonstrates how diversity blows up Apriori
-    /// candidate sets (§8's analysis).
-    pub fn fit_transactions(txns: &[crate::model::Transaction]) -> BinScheme {
-        let weights: Vec<f64> = txns.iter().map(|t| t.gross_weight).collect();
-        let hours: Vec<f64> = txns.iter().map(|t| t.transit_hours).collect();
-        let distances: Vec<f64> = txns.iter().map(|t| t.total_distance).collect();
-        BinScheme::fit(&weights, &hours, &distances, 7, 10, 8)
-    }
-
-    /// Fits equal-frequency binners to a dataset (used when the synthetic
-    /// marginals should drive the boundaries instead of fixed ranges).
-    pub fn fit(
-        weights: &[f64],
-        hours: &[f64],
-        distances: &[f64],
-        wbins: usize,
-        hbins: usize,
-        dbins: usize,
-    ) -> BinScheme {
-        BinScheme {
-            weight: Binner::equal_frequency(weights, wbins),
-            hours: Binner::equal_frequency(hours, hbins),
-            distance: Binner::equal_frequency(distances, dbins),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -281,38 +214,6 @@ mod tests {
         // when the full range is ~500 tons across 7 bins (bin width ~71).
         let b = Binner::equal_width(0.0, 500.0, 7);
         assert_eq!(b.bin(49.0), b.bin(52.0));
-    }
-
-    #[test]
-    fn equal_frequency_splits_data() {
-        let vals: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let b = Binner::equal_frequency(&vals, 4);
-        assert_eq!(b.bins(), 4);
-        // Each quartile holds ~25 values.
-        let counts: Vec<usize> = (0..4)
-            .map(|k| vals.iter().filter(|&&v| b.bin(v) == k as u32).count())
-            .collect();
-        for c in counts {
-            assert!((20..=30).contains(&c), "unbalanced: {c}");
-        }
-    }
-
-    #[test]
-    fn equal_frequency_handles_duplicates() {
-        let vals = vec![5.0; 50];
-        let b = Binner::equal_frequency(&vals, 4);
-        assert!(b.bins() >= 1);
-        assert_eq!(b.bin(5.0), 0);
-    }
-
-    #[test]
-    fn equal_frequency_skewed() {
-        let mut vals = vec![1.0; 90];
-        vals.extend((0..10).map(|i| 100.0 + i as f64));
-        let b = Binner::equal_frequency(&vals, 5);
-        // Duplicate boundary merging must leave a valid binner.
-        assert!(b.bins() >= 2);
-        assert!(b.bin(1.0) < b.bin(105.0));
     }
 
     #[test]
@@ -374,16 +275,5 @@ mod tests {
         ));
         let ok = BinScheme::fit_width_transactions(&[mk(1.0, 1.0, 2.0), mk(9.0, 3.0, 4.0)]);
         assert_eq!(ok.unwrap().weight.bins(), 7);
-    }
-
-    #[test]
-    fn fit_uses_data() {
-        let w: Vec<f64> = (0..50).map(|i| i as f64 * 100.0).collect();
-        let h: Vec<f64> = (0..50).map(|i| i as f64).collect();
-        let d: Vec<f64> = (0..50).map(|i| i as f64 * 10.0).collect();
-        let s = BinScheme::fit(&w, &h, &d, 7, 10, 8);
-        assert_eq!(s.weight.bins(), 7);
-        assert_eq!(s.hours.bins(), 10);
-        assert_eq!(s.distance.bins(), 8);
     }
 }

@@ -7,8 +7,8 @@
 //! scale (SUBDUE: 3.25 h on a 100-vertex graph, §5.1; FSG: out of memory
 //! on temporal transactions, §6.1). This crate is the workspace's answer
 //! on the wall-clock axis: every miner hot path (FSG support counting,
-//! Algorithm 1 partition mining, gSpan support counting, SUBDUE beam
-//! evaluation, EM's E-step) fans out through an [`Exec`] handle.
+//! Algorithm 1 partition mining, SUBDUE beam evaluation, EM's E-step)
+//! fans out through an [`Exec`] handle.
 //!
 //! Design pillars:
 //!
@@ -50,7 +50,7 @@ mod threads;
 
 pub use cancel::{CancelToken, Cancelled};
 pub use counters::{CountersSnapshot, PoolCounters};
-pub use pool::{Exec, L2_TXN_CHUNK_ITEMS};
+pub use pool::Exec;
 pub use threads::Threads;
 // Re-exported so downstream layers can name the observability types
 // without a separate dependency edge.

@@ -24,16 +24,6 @@ fn chunk_bounds(len: usize) -> Vec<(usize, usize)> {
     (0..n).map(|i| (i * len / n, (i + 1) * len / n)).collect()
 }
 
-/// Transactions per chunk for the miners' per-transaction support maps:
-/// sized so one chunk's frozen-CSR working set stays L2-resident (the
-/// bench split transactions run single-digit KiB each; 32 of them sit
-/// comfortably inside a 256 KiB L2, and halving/doubling the size
-/// measured within noise on `bench_miners` while 256-item chunks lost
-/// ~5% to cold misses). Callers opt in via [`Exec::with_chunk_items`];
-/// the chosen size is recorded under the `exec.chunk_items` metric, so
-/// trace output shows what the run actually used.
-pub const L2_TXN_CHUNK_ITEMS: usize = 32;
-
 /// A handle on the execution runtime: thread budget + cancellation token
 /// + shared counters.
 ///

@@ -1,14 +1,15 @@
 //! Embedding-list bookkeeping for propagated support counting.
 //!
-//! Shared by both miners (`tnet-fsg`'s level-wise walk and `tnet-gspan`'s
-//! DFS): instead of answering "does this pattern occur in this
-//! transaction?" with a scratch VF2 search per (pattern, transaction)
-//! pair, each pair keeps the list of the pattern's embeddings in that
-//! transaction and grows it one edge at a time alongside the pattern
-//! itself. A child pattern is its parent plus one derived edge
-//! ([`tnet_graph::iso::derive_extension`]), so the child's occurrences
-//! are exactly the one-edge extensions of the parent's — counting support
-//! becomes an incremental extension instead of a search.
+//! Used by FSG's level-wise walk (and so by the neighborhood and
+//! temporal miners that run it): instead of answering "does this
+//! pattern occur in this transaction?" with a scratch VF2 search per
+//! (pattern, transaction) pair, each pair keeps the list of the
+//! pattern's embeddings in that transaction and grows it one edge at a
+//! time alongside the pattern itself. A child pattern is its parent
+//! plus one derived edge ([`tnet_graph::iso::derive_extension`]), so
+//! the child's occurrences are exactly the one-edge extensions of the
+//! parent's — counting support becomes an incremental extension
+//! instead of a search.
 //!
 //! Lists hold **unpruned** embeddings ([`Matcher::find_unpruned`]'s
 //! enumeration): twin-leaf symmetry breaking would drop occurrences that
@@ -86,11 +87,6 @@ impl EmbStore {
         } else {
             self.flat.len() / self.stride as usize
         }
-    }
-
-    /// True if no occurrence is stored.
-    pub fn is_empty(&self) -> bool {
-        self.flat.is_empty()
     }
 
     /// Appends one occurrence (`row.len()` must equal the stride).

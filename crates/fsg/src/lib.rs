@@ -21,16 +21,15 @@
 //! assert!(out.patterns.iter().any(|p| p.graph.edge_count() == 3));
 //! ```
 
-pub mod embed;
+mod embed;
 pub mod extend;
-pub mod maximal;
 pub mod miner;
 pub mod nbhd;
 pub mod session;
 pub mod tidset;
 pub mod types;
 
-pub use maximal::{filter_patterns, filter_with_report, Keep, Reduction};
+pub use embed::set_seed_cap_for_tests;
 pub use miner::{mine, mine_for_algorithm1, mine_for_algorithm1_with, mine_source, mine_with};
 pub use nbhd::{
     mine_frozen, mine_neighborhoods, NbhdConfig, NbhdError, NbhdIndex, NbhdOutput, NbhdPattern,

@@ -253,11 +253,6 @@ impl<'a> MineSession<'a> {
         });
         Ok(out)
     }
-
-    /// The session's frozen universe.
-    pub fn txn_set(&self) -> &'a TxnSet {
-        self.set
-    }
 }
 
 #[cfg(test)]

@@ -8,8 +8,7 @@
 //! test that arms it; the override is cleared before any assertion can
 //! escape (panics are caught and re-raised after the reset).
 
-use tnet_fsg::embed::set_seed_cap_for_tests;
-use tnet_fsg::{mine, FsgConfig, Support};
+use tnet_fsg::{mine, set_seed_cap_for_tests, FsgConfig, Support};
 use tnet_graph::canon::IsoClassMap;
 use tnet_graph::graph::{ELabel, Graph, VLabel};
 

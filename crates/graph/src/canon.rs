@@ -216,11 +216,6 @@ impl<V> IsoClassMap<V> {
     pub fn into_iter_pairs(self) -> impl Iterator<Item = (Graph, V)> {
         self.buckets.into_values().flatten()
     }
-
-    /// Largest bucket size — diagnostic for hash quality.
-    pub fn max_bucket(&self) -> usize {
-        self.buckets.values().map(|b| b.len()).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]

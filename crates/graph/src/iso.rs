@@ -92,12 +92,6 @@ impl Embedding {
         self.assignment.iter().copied().filter(|&v| v != UNMAPPED)
     }
 
-    /// True if some pattern vertex maps onto target vertex `tv`.
-    #[inline]
-    pub fn maps_onto(&self, tv: VertexId) -> bool {
-        self.assignment.contains(&tv)
-    }
-
     /// True if the two embeddings share any target vertex. Allocation-free
     /// linear scan — embeddings are pattern-sized (a handful of slots).
     pub fn overlaps(&self, other: &Embedding) -> bool {

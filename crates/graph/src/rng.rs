@@ -26,8 +26,8 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 
 /// Derives an independent 64-bit stream seed from `(seed, index)`.
 ///
-/// Used wherever work fans out (partition repetitions, null-model
-/// replicas) so each unit of work owns a private generator — the
+/// Used wherever work fans out (Algorithm 1's partition repetitions)
+/// so each unit of work owns a private generator — the
 /// cornerstone of thread-count-independent determinism.
 #[inline]
 pub fn derive_seed(seed: u64, index: u64) -> u64 {

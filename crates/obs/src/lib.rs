@@ -6,8 +6,8 @@
 //!   answering "where did the time go" for a run (ingest → binning →
 //!   partitioning → miner phases → supervisor sections).
 //! - [`MetricsRegistry`]: one named-counter namespace absorbing the
-//!   per-layer counter structs (`exec.*`, `fsg.*`, `gspan.*`,
-//!   `subdue.*`), answering "what did the run do".
+//!   per-layer counter structs (`exec.*`, `fsg.*`, `subdue.*`),
+//!   answering "what did the run do".
 //!
 //! [`json`] is the workspace's one JSON parser and writer, and holds
 //! the `tnet-trace/v1` export and decoder for both.

@@ -8,7 +8,7 @@
 //! run spend" regardless of which miners ran.
 //!
 //! Naming scheme: `<component>.<counter>`, lowercase snake case, where
-//! `<component>` is the crate-level subsystem (`exec`, `fsg`, `gspan`,
+//! `<component>` is the crate-level subsystem (`exec`, `fsg`,
 //! `subdue`). Components fold their counters in at the end of a run
 //! (e.g. `MiningStats::record_into`), so the hot paths keep their plain
 //! `usize` arithmetic and the registry's mutex is off every inner loop.
@@ -53,7 +53,7 @@ impl MetricsRegistry {
     }
 
     /// Records a high-water mark: keeps the max of the stored value and
-    /// `value`. For peaks (`fsg.peak_candidate_bytes`, `gspan.max_depth`)
+    /// `value`. For peaks (`fsg.peak_candidate_bytes`, `fsg.soa_bytes`)
     /// where summing runs would be meaningless.
     pub fn record_max(&self, name: &str, value: u64) {
         let mut m = self.lock();

@@ -14,17 +14,12 @@
 //! * [`window`] — multi-granularity (hour/day/week) units and
 //!   tumbling/sliding windows over them (ROADMAP item 3).
 
-pub mod multilevel;
 pub mod single_graph;
 pub mod split;
 pub mod summary;
 pub mod temporal;
 pub mod window;
 
-pub use multilevel::{
-    multilevel_partition, split_by_partition, split_graph_multilevel, MultilevelConfig,
-    VertexPartition,
-};
 pub use single_graph::{mine_single_graph, SingleGraphPattern};
 pub use split::{split_graph, Strategy};
 pub use summary::{summarize_set, TransactionSetSummary};

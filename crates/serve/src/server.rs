@@ -383,15 +383,32 @@ fn read_line(reader: &mut BufReader<TcpStream>, shared: &Shared) -> LineRead {
     }
 }
 
-fn write_reply(stream: &mut TcpStream, reply: &str) -> bool {
-    // One write per reply (payload + newline in a single buffer): two
-    // small writes back-to-back would trip Nagle + delayed-ACK on a
-    // nodelay-less peer, turning a sub-millisecond round trip into a
-    // ~40ms stall.
+/// Writes one reply, polling the shutdown token on write timeouts: a
+/// client that never reads its replies fills the socket buffers, and it
+/// must not hold the drain hostage. Same rule as [`read_line`]: keep
+/// waiting while the daemon serves, give up once shutdown has begun.
+fn write_reply(stream: &mut TcpStream, reply: &str, shared: &Shared) -> bool {
+    // One buffer per reply (payload + newline): two small writes
+    // back-to-back would trip Nagle + delayed-ACK on a nodelay-less
+    // peer, turning a sub-millisecond round trip into a ~40ms stall.
     let mut line = Vec::with_capacity(reply.len() + 1);
     line.extend_from_slice(reply.as_bytes());
     line.push(b'\n');
-    stream.write_all(&line).is_ok()
+    let mut rest = &line[..];
+    while !rest.is_empty() {
+        match stream.write(rest) {
+            Ok(0) => return false,
+            Ok(n) => rest = &rest[n..],
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if shared.shutdown.is_cancelled() {
+                    return false;
+                }
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => return false,
+        }
+    }
+    true
 }
 
 fn protocol_error(message: String) -> PipelineError {
@@ -404,10 +421,8 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>, ingest: Sender<Inge
         Ok(s) => s,
         Err(_) => return,
     };
-    if stream
-        .set_read_timeout(Some(Duration::from_millis(100)))
-        .is_err()
-    {
+    let poll = Some(Duration::from_millis(100));
+    if stream.set_read_timeout(poll).is_err() || out.set_write_timeout(poll).is_err() {
         return;
     }
     // Replies are single small segments; never hold them for Nagle.
@@ -424,7 +439,7 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>, ingest: Sender<Inge
                 crate::epoch::MAX_READERS
             ),
         };
-        let _ = write_reply(&mut out, &proto::error_reply(&err));
+        let _ = write_reply(&mut out, &proto::error_reply(&err), &shared);
         return;
     };
     let exec = Exec::new(shared.threads);
@@ -438,7 +453,7 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>, ingest: Sender<Inge
                 let err = protocol_error(format!(
                     "request line of {len} bytes exceeds the {MAX_LINE_BYTES}-byte limit"
                 ));
-                if !write_reply(&mut out, &proto::error_reply(&err)) {
+                if !write_reply(&mut out, &proto::error_reply(&err), &shared) {
                     return;
                 }
                 continue;
@@ -452,7 +467,7 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>, ingest: Sender<Inge
             Ok(r) => r,
             Err(e) => {
                 shared.registry.add("serve.query_errors", 1);
-                if !write_reply(&mut out, &proto::error_reply(&e)) {
+                if !write_reply(&mut out, &proto::error_reply(&e), &shared) {
                     return;
                 }
                 continue;
@@ -460,7 +475,7 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>, ingest: Sender<Inge
         };
         let close_after = request == Request::Shutdown;
         let reply = dispatch(&request, &shared, &reader, &ingest, &exec);
-        if !write_reply(&mut out, &reply) || close_after {
+        if !write_reply(&mut out, &reply, &shared) || close_after {
             return;
         }
     }

@@ -636,3 +636,56 @@ fn reader_slot_exhaustion_replies_typed_retryable_overload() {
     handle.wait();
     handle.join().unwrap();
 }
+
+/// A client that pipelines requests and never reads its replies fills
+/// the loopback socket buffers, so the daemon's reply write cannot
+/// complete. Once shutdown begins, that connection must give up instead
+/// of holding its hazard slot and the drain's `join` forever.
+#[test]
+fn shutdown_is_not_held_by_a_client_that_never_reads() {
+    let mut handle = tnet_serve::start(quiescent_config(txns(0.005, 7))).unwrap();
+    let mut probe = Client::connect(&handle);
+    let reply_len = probe.send(r#"{"op":"stats"}"#).len() + 1;
+    drop(probe);
+    // Replies worth ~48 MB: far past what the kernel buffers on both
+    // ends of a loopback connection when the receiver never drains it.
+    let requests = (48 << 20) / reply_len + 1;
+
+    let stuck = TcpStream::connect(handle.addr()).expect("connect");
+    let mut writer = stuck.try_clone().expect("clone");
+    // The writer blocks once the daemon stops reading; it ends when the
+    // daemon closes the connection.
+    let writer = std::thread::spawn(move || {
+        let line = b"{\"op\":\"stats\"}\n";
+        for _ in 0..requests {
+            if writer.write_all(line).is_err() {
+                return;
+            }
+        }
+    });
+    // Shut down only once the daemon serves the stuck connection: from
+    // then on it has more replies to write than the buffers hold.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while handle.registry().get("serve.queries") < 100 {
+        assert!(
+            Instant::now() < deadline,
+            "the stuck client was never served"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    handle.shutdown();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let drain = std::thread::spawn(move || {
+        handle.wait();
+        let _ = done_tx.send(handle.join());
+    });
+    match done_rx.recv_timeout(Duration::from_secs(10)) {
+        Ok(joined) => joined.unwrap(),
+        // The helper threads stay blocked; the test process exits anyway.
+        Err(_) => panic!("drain still waiting on a client that never reads after 10 s"),
+    }
+    drain.join().unwrap();
+    drop(stuck);
+    writer.join().unwrap();
+}

@@ -20,7 +20,6 @@
 pub mod compress;
 pub mod discover;
 pub mod eval;
-pub mod inexact;
 pub mod substructure;
 
 pub use compress::{compress, hierarchical, HierarchyLevel};
@@ -28,7 +27,6 @@ pub use discover::{
     discover, discover_core, discover_with, SubdueConfig, SubdueError, SubdueOutput,
 };
 pub use eval::{evaluate, set_cover_value, set_cover_value_counted, EvalMethod, GraphContext};
-pub use inexact::{coalesce_fuzzy, edit_distance_bounded, fuzzy_match};
 pub use substructure::{
     expand, expand_counted, initial_substructures, Instance, SubdueStats, Substructure,
 };

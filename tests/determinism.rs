@@ -9,7 +9,6 @@ use tnet_exec::Exec;
 use tnet_fsg::{mine, mine_for_algorithm1_with, mine_with, FsgConfig, FsgError, Support};
 use tnet_graph::graph::Graph;
 use tnet_graph::rng::StdRng;
-use tnet_gspan::{mine_dfs, mine_dfs_with, GspanConfig};
 use tnet_partition::single_graph::mine_single_graph;
 use tnet_partition::split::{split_graph, Strategy};
 use tnet_tabular::em::{fit, fit_with, EmConfig};
@@ -56,31 +55,6 @@ fn fsg_output_identical_at_any_thread_count() {
     );
 }
 
-#[test]
-fn gspan_output_identical_at_any_thread_count() {
-    let txns = graph_transactions();
-    let cfg = GspanConfig {
-        min_support: Support::Count(4),
-        max_edges: 4,
-        ..Default::default()
-    };
-    let baseline = mine_dfs(&txns, &cfg).unwrap();
-    let render = |out: &tnet_gspan::GspanOutput| -> String {
-        out.patterns
-            .iter()
-            .map(|p| format!("{:?} support={} tids={:?}\n", p.graph, p.support, p.tids))
-            .collect()
-    };
-    for threads in THREAD_COUNTS {
-        let out = mine_dfs_with(&txns, &cfg, &Exec::new(threads)).unwrap();
-        assert_eq!(
-            render(&out),
-            render(&baseline),
-            "gSpan output diverged at {threads} threads"
-        );
-    }
-}
-
 /// The frozen-CSR snapshot is a pure representation change: every miner
 /// must produce byte-identical output whether it traverses the arena
 /// builder directly (the generic cores on `&txns[..]` / `&g`) or the
@@ -108,25 +82,6 @@ fn frozen_and_arena_miners_agree() {
         "FSG frozen vs arena diverged"
     );
     assert_eq!(frozen.stats.iso_tests, arena.stats.iso_tests);
-
-    let gspan_cfg = GspanConfig {
-        min_support: Support::Count(4),
-        max_edges: 4,
-        ..Default::default()
-    };
-    let render_gspan = |out: &tnet_gspan::GspanOutput| -> String {
-        out.patterns
-            .iter()
-            .map(|p| format!("{:?} support={} tids={:?}\n", p.graph, p.support, p.tids))
-            .collect()
-    };
-    let gf = mine_dfs_with(&txns, &gspan_cfg, &exec).unwrap();
-    let ga = tnet_gspan::mine_dfs_source(&txns[..], &gspan_cfg, &exec).unwrap();
-    assert_eq!(
-        render_gspan(&gf),
-        render_gspan(&ga),
-        "gSpan frozen vs arena diverged"
-    );
 
     // SUBDUE mines a single graph; instance ids must come back in the
     // caller's arena id space (discover_with remaps through the frozen

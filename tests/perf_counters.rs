@@ -12,7 +12,6 @@ use tnet_data::od_graph::{EdgeLabeling, VertexLabeling};
 use tnet_fsg::{mine, FsgConfig, Support};
 use tnet_graph::graph::Graph;
 use tnet_graph::rng::StdRng;
-use tnet_gspan::{mine_dfs, GspanConfig};
 use tnet_partition::split::{split_graph, Strategy};
 
 /// Matches `FSG_DEFAULT_ISO_GATE` in the bench_miners binary: the
@@ -83,29 +82,4 @@ fn fsg_propagated_matches_scratch() {
         tiny.stats.embeddings_spilled > 0,
         "cap 2 should overflow some embedding lists"
     );
-}
-
-#[test]
-fn gspan_propagated_matches_scratch() {
-    let txns = default_workload();
-    let cfg = |cap: usize| GspanConfig {
-        min_support: Support::Count(4),
-        max_edges: 4,
-        embedding_cap: cap,
-        ..Default::default()
-    };
-    let scratch = mine_dfs(&txns, &cfg(0)).unwrap();
-    for cap in [256usize, 2] {
-        let prop = mine_dfs(&txns, &cfg(cap)).unwrap();
-        assert_eq!(prop.patterns.len(), scratch.patterns.len(), "cap {cap}");
-        for (a, b) in prop.patterns.iter().zip(&scratch.patterns) {
-            assert_eq!(a.tids, b.tids, "cap {cap}");
-            assert!(
-                tnet_graph::iso::are_isomorphic(&a.graph, &b.graph),
-                "cap {cap}: pattern mismatch"
-            );
-        }
-    }
-    // Both miners agree on the workload's pattern count.
-    assert_eq!(scratch.patterns.len(), 62);
 }
