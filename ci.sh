@@ -168,30 +168,21 @@ rm -f "$NBHD_TRACE" /tmp/tnet_ci_nbhd.out /tmp/tnet_ci_nbhd_t1.out \
     /tmp/tnet_ci_nbhd_sum.out /tmp/tnet_ci_nbhd_trunc.json \
     /tmp/tnet_ci_nbhd_trunc.err
 
-echo "== temporal smoke: sliding windows, incremental ≡ full, flow patterns"
-# A sliding day-granularity session run: the session summary and flow
-# report print, and the incremental path's pattern output (per-window
-# counts, merged top-N) is byte-identical to full per-window re-mining.
-# The diff runs without --verbose: work counters (iso tests, embeddings)
-# legitimately differ between the two counting paths; patterns must not.
+echo "== temporal smoke: sliding windows, flow patterns"
+# A sliding day-granularity run: the window header and flow report
+# print, and the per-window pattern output is thread-invariant.
 TEMPORAL_ARGS=(temporal --scale 0.01 --granularity day --window 3 \
     --slide 1 --support 3 --max-edges 2)
-"$TNET" "${TEMPORAL_ARGS[@]}" --flow true --incremental true \
-    > /tmp/tnet_ci_temporal_inc.out 2>/dev/null
-grep -q '^session: .* incremental' /tmp/tnet_ci_temporal_inc.out
-grep -q '^flow patterns:' /tmp/tnet_ci_temporal_inc.out
+"$TNET" "${TEMPORAL_ARGS[@]}" --flow true \
+    > /tmp/tnet_ci_temporal.out 2>/dev/null
+grep -q '^[0-9]* windows over [0-9]* day units' /tmp/tnet_ci_temporal.out
+grep -q '^flow patterns:' /tmp/tnet_ci_temporal.out
 grep -q '^planted structure surfaced at day granularity:' \
-    /tmp/tnet_ci_temporal_inc.out
-"$TNET" "${TEMPORAL_ARGS[@]}" --flow true --incremental false \
-    > /tmp/tnet_ci_temporal_full.out 2>/dev/null
-# Only the mode header and session lines may differ between the paths.
-diff <(grep -vE '^session|mode\)$' /tmp/tnet_ci_temporal_inc.out) \
-     <(grep -vE '^session|mode\)$' /tmp/tnet_ci_temporal_full.out)
-# ...and the incremental output is thread-invariant.
+    /tmp/tnet_ci_temporal.out
 "$TNET" "${TEMPORAL_ARGS[@]}" --threads 8 \
     > /tmp/tnet_ci_temporal_t8.out 2>/dev/null
 diff <(grep -v '^flow\|^planted\|^  flow\|^  cycle' \
-        /tmp/tnet_ci_temporal_inc.out) /tmp/tnet_ci_temporal_t8.out
+        /tmp/tnet_ci_temporal.out) /tmp/tnet_ci_temporal_t8.out
 # Inverted dates (delivery before pickup) are a typed error: one stderr
 # line, exit 1, never a panic. CSV ingest catches this case first; the
 # partition-layer TemporalError covers non-CSV paths (unit-tested).
@@ -208,7 +199,7 @@ set -e
 test "$code" -eq 1
 test "$(wc -l < /tmp/tnet_ci_temporal_bad.err)" -eq 1
 grep -q 'precedes requested pickup' /tmp/tnet_ci_temporal_bad.err
-rm -f /tmp/tnet_ci_temporal_inc.out /tmp/tnet_ci_temporal_full.out \
+rm -f /tmp/tnet_ci_temporal.out \
     /tmp/tnet_ci_temporal_t8.out /tmp/tnet_ci_temporal.csv \
     /tmp/tnet_ci_temporal_bad.csv /tmp/tnet_ci_temporal_bad.err
 
@@ -229,8 +220,7 @@ cargo run --release -q -p tnet-bench --offline --bin bench_miners -- \
 cargo run --release -q -p tnet-bench --offline --bin bench_miners -- \
     --validate "$BENCH_OUT"
 # The committed full report must pass the same gates, plus the rows
-# smoke runs skip (seed sensitivity, the ≥10× neighborhood row, and the
-# day-window incremental win).
+# smoke runs skip (seed sensitivity and the ≥10× neighborhood row).
 cargo run --release -q -p tnet-bench --offline --bin bench_miners -- \
     --validate BENCH_miners.json
 # The CLI's trace export (written above) must satisfy the same

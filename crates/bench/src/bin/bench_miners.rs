@@ -40,7 +40,6 @@ use tnet_graph::rng::StdRng;
 use tnet_obs::json::{self, JVal};
 use tnet_partition::single_graph::mine_single_graph;
 use tnet_partition::split::{split_graph, Strategy};
-use tnet_partition::{Granularity, TemporalOptions, WindowSpec};
 use tnet_subdue::{discover, discover_with, SubdueConfig};
 
 /// Regression gate for `stats.iso_tests` on the propagated default FSG
@@ -301,10 +300,9 @@ fn seed_sensitivity_row(samples: usize) -> JVal {
 }
 
 /// Renders a pattern set to a canonical string so two runs can be
-/// compared byte-for-byte, not just by count. Every differential in this
-/// file (frozen vs arena, incremental vs full windows) goes through
-/// this — a byte mismatch means a representation or counting path
-/// changed results.
+/// compared byte-for-byte, not just by count. The frozen-vs-arena
+/// differential goes through this — a byte mismatch means a
+/// representation path changed results.
 fn pattern_bytes(out: &tnet_fsg::FsgOutput) -> String {
     let mut s = String::new();
     for p in &out.patterns {
@@ -460,101 +458,6 @@ fn partition_vs_neighborhood_row(name: &str, scale: f64, seed: u64, samples: usi
     ])
 }
 
-/// Incremental-session benchmark: the same sliding-window workload
-/// driven through one [`tnet_temporal::run_windows`] session twice —
-/// delta re-counting on, then forced full per-window re-mining — at
-/// hour, day, and week granularity. The two runs must mine
-/// byte-identical per-window pattern sets (`identical` in the row;
-/// `--validate` gates on it), and on the non-smoke workload the
-/// incremental day run must beat the full run's wall clock
-/// (`full_over_incremental` > 1, also gated).
-fn temporal_incremental_row(
-    name: &str,
-    txns: &[tnet_data::Transaction],
-    spec: WindowSpec,
-    samples: usize,
-) -> JVal {
-    let fsg_cfg = FsgConfig::default()
-        .with_support(Support::Count(4))
-        .with_max_edges(4)
-        .with_memory_budget(512 << 20);
-    let exec = Exec::new(1);
-    let scheme = BinScheme::paper_defaults();
-    let opts = TemporalOptions::default();
-    let run = |incremental: bool| {
-        let cfg = tnet_temporal::TemporalConfig::new(spec)
-            .with_fsg(fsg_cfg.clone())
-            .with_incremental(incremental);
-        tnet_temporal::run_windows(txns, &scheme, &opts, &cfg, &exec).unwrap()
-    };
-    let ti = bench(&format!("temporal/{name}/incremental"), samples, || {
-        run(true)
-    });
-    let inc = run(true);
-    let tf = bench(&format!("temporal/{name}/full"), samples, || run(false));
-    let full = run(false);
-    let window_bytes = |r: &tnet_temporal::TemporalRun| {
-        let mut s = String::new();
-        for w in &r.windows {
-            s.push_str(&format!("[{}, {})\n", w.txn_lo, w.txn_hi));
-            s.push_str(&pattern_bytes(&w.output));
-        }
-        s
-    };
-    let identical = window_bytes(&inc) == window_bytes(&full);
-    assert!(
-        identical,
-        "temporal/{name}: incremental and full window mining diverged"
-    );
-    JVal::obj([
-        ("granularity", JVal::Str(name.into())),
-        ("windows", JVal::Num(inc.windows.len() as f64)),
-        ("wall_ms_incremental", JVal::Num(ti.best_ms())),
-        ("wall_ms_full", JVal::Num(tf.best_ms())),
-        (
-            "full_over_incremental",
-            JVal::Num(tf.best_ms() / ti.best_ms().max(1e-9)),
-        ),
-        (
-            "incremental_windows",
-            JVal::Num(inc.session.incremental_windows as f64),
-        ),
-        (
-            "patterns_recounted",
-            JVal::Num(inc.session.patterns_recounted as f64),
-        ),
-        ("recount_skips", JVal::Num(inc.session.recount_skips as f64)),
-        ("identical", JVal::Bool(identical)),
-    ])
-}
-
-fn temporal_incremental_rows(seed: u64, smoke: bool, samples: usize) -> Vec<JVal> {
-    let scale = if smoke { 0.01 } else { 0.05 };
-    let txns =
-        tnet_data::synth::generate(&tnet_data::synth::SynthConfig::scaled(scale).with_seed(seed))
-            .transactions;
-    vec![
-        temporal_incremental_row(
-            "hour",
-            &txns,
-            WindowSpec::new(Granularity::Hour, 48, 24).expect("valid spec"),
-            samples,
-        ),
-        temporal_incremental_row(
-            "day",
-            &txns,
-            WindowSpec::new(Granularity::Day, 7, 1).expect("valid spec"),
-            samples,
-        ),
-        temporal_incremental_row(
-            "week",
-            &txns,
-            WindowSpec::new(Granularity::Week, 2, 1).expect("valid spec"),
-            samples,
-        ),
-    ]
-}
-
 /// One extra, untimed pass over every miner with a live tracer and
 /// registry attached: the per-phase wall breakdown and the unified
 /// counter namespace embedded in the report as a `tnet-trace/v1` block.
@@ -686,44 +589,6 @@ fn validate(path: &str) -> Result<(), String> {
         max_scale = max_scale.max(num(row, "scale_factor").unwrap_or(0.0));
     }
     let is_smoke = matches!(doc.get("smoke"), Some(JVal::Bool(true)));
-    // Incremental-session differential: every granularity row must have
-    // mined byte-identical pattern sets on both paths, the sliding specs
-    // must actually exercise the delta path, and on the full (non-smoke)
-    // workload the incremental day run must beat full re-mining.
-    let temporal = match doc.get("temporal_incremental") {
-        Some(JVal::Arr(rows)) if !rows.is_empty() => rows,
-        Some(JVal::Arr(_)) => return Err("temporal_incremental block is empty".into()),
-        _ => return Err("report has no 'temporal_incremental' block".into()),
-    };
-    for row in temporal {
-        let gran = match row.get("granularity") {
-            Some(JVal::Str(s)) => s.clone(),
-            _ => return Err("temporal_incremental row missing 'granularity'".into()),
-        };
-        if !matches!(row.get("identical"), Some(JVal::Bool(true))) {
-            return Err(format!(
-                "temporal_incremental/{gran}: incremental and full window \
-                 mining are not byte-identical"
-            ));
-        }
-        let inc_windows = num(row, "incremental_windows")
-            .map_err(|_| format!("temporal_incremental/{gran} missing 'incremental_windows'"))?;
-        if inc_windows <= 0.0 {
-            return Err(format!(
-                "temporal_incremental/{gran}: the sliding spec never took the \
-                 delta re-counting path"
-            ));
-        }
-        if !is_smoke && gran == "day" {
-            let ratio = num(row, "full_over_incremental")?;
-            if ratio <= 1.0 {
-                return Err(format!(
-                    "REGRESSION — temporal_incremental/day full_over_incremental \
-                     = {ratio:.2}; delta re-counting is not beating full re-mining"
-                ));
-            }
-        }
-    }
     if !is_smoke {
         let row = doc
             .get("seed_sensitivity")
@@ -812,7 +677,6 @@ fn main() -> ExitCode {
             samples,
         ));
     }
-    let temporal_rows = temporal_incremental_rows(opts.seed, opts.smoke, samples);
     let seed_sensitivity = (!opts.smoke).then(|| seed_sensitivity_row(samples));
     let subdue_vertices = if opts.smoke { 25 } else { 50 };
     let subdue_rows = vec![subdue_row(0.015, opts.seed, subdue_vertices, samples)];
@@ -838,7 +702,6 @@ fn main() -> ExitCode {
         ("trace", trace),
         ("support_count", support_count),
         ("partition_vs_neighborhood", JVal::Arr(pvn_rows)),
-        ("temporal_incremental", JVal::Arr(temporal_rows)),
         ("disabled_span_ns_per_op", JVal::Num(disabled_ns)),
         (
             "miners",

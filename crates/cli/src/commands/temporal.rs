@@ -1,11 +1,10 @@
 //! `tnet temporal` — the §6 temporal experiments (Table 2 summary,
 //! quiet-date filtering, Figure 4 mining, the §6.1 memory failure
 //! demonstration), plus the windowed mode: with `--granularity
-//! {hour,day,week}` the command drives an incremental mining session
-//! across tumbling/sliding windows (`--window`/`--slide`), optionally
-//! runs the flow-pattern detector (`--flow true`), and feeds the union
-//! of per-window patterns through the shared maximal/top-N/dot
-//! pipeline.
+//! {hour,day,week}` the command mines every tumbling/sliding window
+//! (`--window`/`--slide`) on its own, optionally runs the flow-pattern
+//! detector (`--flow true`), and feeds the union of per-window patterns
+//! through the shared maximal/top-N/dot pipeline.
 
 use crate::args::{ArgError, Args};
 use crate::commands::{load_transactions, obs_context, report_patterns};
@@ -70,8 +69,8 @@ pub fn run(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The windowed mode: multi-granularity windows driven through an
-/// incremental [`tnet_fsg::MineSession`].
+/// The windowed mode: multi-granularity windows, each mined as a slice
+/// of one frozen transaction set ([`run_windows`]).
 fn run_windowed(args: &Args) -> Result<(), CliError> {
     args.ensure_known(&[
         "input",
@@ -80,7 +79,6 @@ fn run_windowed(args: &Args) -> Result<(), CliError> {
         "granularity",
         "window",
         "slide",
-        "incremental",
         "flow",
         "support",
         "max-edges",
@@ -88,7 +86,6 @@ fn run_windowed(args: &Args) -> Result<(), CliError> {
         "maximal",
         "dot-dir",
         "threads",
-        "verbose",
         "trace",
         "trace-json",
     ])?;
@@ -99,13 +96,11 @@ fn run_windowed(args: &Args) -> Result<(), CliError> {
     let slide: usize = args.get_parsed_or("slide", width)?;
     let spec = WindowSpec::new(granularity, width, slide)
         .map_err(|e| ArgError(format!("bad window spec: {e}")))?;
-    let incremental = args.get_or("incremental", "true") == "true";
     let flow = args.get_or("flow", "false") == "true";
     let support: usize = args.get_parsed_or("support", 5)?;
     let max_edges: usize = args.get_parsed_or("max-edges", 4)?;
     let top: usize = args.get_parsed_or("top", 15)?;
     let maximal = args.get_or("maximal", "false") == "true";
-    let verbose = args.get_or("verbose", "false") == "true";
 
     let obs = obs_context(args);
     let mut exec = args.exec()?;
@@ -121,9 +116,7 @@ fn run_windowed(args: &Args) -> Result<(), CliError> {
         .with_support(Support::Count(support))
         .with_max_edges(max_edges)
         .with_memory_budget(512 << 20);
-    let cfg = TemporalConfig::new(spec)
-        .with_fsg(fsg)
-        .with_incremental(incremental);
+    let cfg = TemporalConfig::new(spec).with_fsg(fsg);
     let run = {
         let _t = exec.span().time("windows");
         run_windows(
@@ -143,13 +136,11 @@ fn run_windowed(args: &Args) -> Result<(), CliError> {
         })?
     };
     outln!(
-        "{} windows over {} {} units ({} graph transactions, width {width}, slide {slide}, \
-         {} mode)",
+        "{} windows over {} {} units ({} graph transactions, width {width}, slide {slide})",
         run.windows.len(),
         run.units,
         granularity.name(),
         run.total_txns,
-        if incremental { "incremental" } else { "full" },
     );
     for (i, w) in run.windows.iter().enumerate() {
         outln!(
@@ -158,23 +149,6 @@ fn run_windowed(args: &Args) -> Result<(), CliError> {
             w.unit_hi,
             w.txn_hi - w.txn_lo,
             w.output.patterns.len()
-        );
-    }
-    let s = &run.session;
-    outln!(
-        "session: {} windows ({} incremental, {} full recounts)",
-        s.windows,
-        s.incremental_windows,
-        s.full_recounts
-    );
-    if verbose {
-        outln!(
-            "session detail: {} delta txns, {} delta edges, {} patterns recounted, \
-             {} recount skips",
-            s.delta_txns,
-            s.delta_edges,
-            s.patterns_recounted,
-            s.recount_skips
         );
     }
     if let Some(o) = &obs {
@@ -289,8 +263,6 @@ mod tests {
                 "--max-edges",
                 "2",
                 "--flow",
-                "true",
-                "--verbose",
                 "true",
             ]
             .iter()

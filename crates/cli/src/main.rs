@@ -75,10 +75,9 @@ COMMANDS:
               --beam N --best N --max-size N --passes N
     temporal  Sec 6 temporal experiments (Tables 2-3, Figure 4, OOM)
               --quiet-fraction F --budget-mb N --oom-support N
-              windowed mode (sliding/tumbling mining sessions):
+              windowed mode (sliding/tumbling windows):
                 --granularity hour|day|week --window N --slide N
-                --incremental true|false --flow true|false
-                --support N --max-edges N --top N --verbose true
+                --flow true|false --support N --max-edges N --top N
     lanes     periodic lanes and repeated routes (Sec 9 extensions)
               --max-sep N --max-len N --min-occurrences N
     report    the full E1..E16 report (+E17..E19 extensions)
@@ -174,7 +173,6 @@ mod tests {
             "--granularity",
             "--window",
             "--slide",
-            "--incremental",
             "--flow",
             "--data-dir",
             "--fsync",

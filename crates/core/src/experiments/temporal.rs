@@ -208,33 +208,27 @@ impl fmt::Display for OomResult {
     }
 }
 
-/// One granularity's row in the E16 report: session counters, pattern
-/// union size, and planted-structure attribution (zeros when the data
+/// One granularity's row in the E16 report: window count, pattern
+/// union size, and planted-structure attribution (`None` when the data
 /// has no ground truth).
 pub struct E16Row {
     pub granularity: &'static str,
     pub windows: usize,
-    pub incremental_windows: usize,
-    pub full_recounts: usize,
-    pub patterns_recounted: usize,
-    pub recount_skips: usize,
     /// Distinct pattern iso classes across all windows.
     pub distinct_patterns: usize,
     pub attribution: Option<tnet_temporal::FlowAttribution>,
 }
 
-/// E16 output: incremental windowed mining plus flow detection at each
-/// granularity.
+/// E16 output: windowed mining plus flow detection at each granularity.
 pub struct E16Result {
     pub rows: Vec<E16Row>,
 }
 
-/// Runs E16: drives an incremental [`tnet_fsg::MineSession`] across
-/// hour/day/week windows (tumbling days of hours, sliding weeks of
-/// days, tumbling weeks), unions each run's patterns, and runs the
-/// flow-pattern detector — reporting which planted structures (hub
-/// surges, deadhead cycles, air-freight outliers) each granularity
-/// surfaces when ground truth is available.
+/// Runs E16: mines hour/day/week windows (tumbling days of hours,
+/// sliding weeks of days, tumbling weeks), unions each run's patterns,
+/// and runs the flow-pattern detector — reporting which planted
+/// structures (hub surges, deadhead cycles, air-freight outliers) each
+/// granularity surfaces when ground truth is available.
 pub fn run_windowed_flows(
     txns: &[Transaction],
     dataset: Option<&tnet_data::Dataset>,
@@ -247,7 +241,7 @@ pub fn run_windowed_flows(
     let specs = [
         // A day of hours, tumbling: hour-level structure per day.
         WindowSpec::tumbling(Granularity::Hour, 24)?,
-        // A sliding week of days: the incremental session's home turf.
+        // A sliding week of days.
         WindowSpec::new(Granularity::Day, 7, 1)?,
         // Tumbling weeks: the periodic planted lanes align here.
         WindowSpec::tumbling(Granularity::Week, 1)?,
@@ -283,11 +277,7 @@ pub fn run_windowed_flows(
         let attribution = dataset.map(|ds| tnet_temporal::attribute(&report, ds, &fcfg));
         rows.push(E16Row {
             granularity: spec.granularity.name(),
-            windows: run.session.windows,
-            incremental_windows: run.session.incremental_windows,
-            full_recounts: run.session.full_recounts,
-            patterns_recounted: run.session.patterns_recounted,
-            recount_skips: run.session.recount_skips,
+            windows: run.windows.len(),
             distinct_patterns: union.len(),
             attribution,
         });
@@ -298,22 +288,12 @@ pub fn run_windowed_flows(
 impl fmt::Display for E16Result {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "=== E16: temporal windows and flow patterns ===")?;
-        writeln!(
-            f,
-            "{:<6} {:>8} {:>6} {:>6} {:>10} {:>7} {:>9}",
-            "gran", "windows", "incr", "full", "recounted", "skips", "patterns"
-        )?;
+        writeln!(f, "{:<6} {:>8} {:>9}", "gran", "windows", "patterns")?;
         for r in &self.rows {
             writeln!(
                 f,
-                "{:<6} {:>8} {:>6} {:>6} {:>10} {:>7} {:>9}",
-                r.granularity,
-                r.windows,
-                r.incremental_windows,
-                r.full_recounts,
-                r.patterns_recounted,
-                r.recount_skips,
-                r.distinct_patterns
+                "{:<6} {:>8} {:>9}",
+                r.granularity, r.windows, r.distinct_patterns
             )?;
         }
         if self.rows.iter().any(|r| r.attribution.is_some()) {
@@ -404,11 +384,8 @@ mod tests {
         .unwrap();
         assert_eq!(res.rows.len(), 3);
         let day = res.rows.iter().find(|r| r.granularity == "day").unwrap();
-        assert!(
-            day.incremental_windows > 0,
-            "sliding day windows must use the incremental path"
-        );
-        assert!(day.recount_skips + day.patterns_recounted > 0);
+        assert!(day.windows > 1, "a sliding week of days has many windows");
+        assert!(day.distinct_patterns > 0);
         let day_attr = day.attribution.unwrap();
         assert!(
             day_attr.hubs_surfaced > 0,

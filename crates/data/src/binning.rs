@@ -30,19 +30,6 @@ impl Binner {
         Binner { edges }
     }
 
-    /// Explicit ascending boundaries (`bins + 1` of them).
-    ///
-    /// # Panics
-    /// Panics if fewer than 2 boundaries or not strictly ascending.
-    pub fn explicit(edges: Vec<f64>) -> Binner {
-        assert!(edges.len() >= 2, "need at least two boundaries");
-        assert!(
-            edges.windows(2).all(|w| w[0] < w[1]),
-            "boundaries must be strictly ascending"
-        );
-        Binner { edges }
-    }
-
     /// Number of bins.
     pub fn bins(&self) -> usize {
         self.edges.len() - 1
@@ -217,19 +204,15 @@ mod tests {
     }
 
     #[test]
-    fn explicit_boundaries() {
-        let b = Binner::explicit(vec![0.0, 6_500.0, 13_000.0, 19_500.0]);
+    fn boundaries_and_interval_labels() {
+        // Equal-width bins over [0, 19500] put the boundaries at exact
+        // multiples of 6500.
+        let b = Binner::equal_width(0.0, 19_500.0, 3);
         assert_eq!(b.bins(), 3);
         assert_eq!(b.bin(6_499.0), 0);
         assert_eq!(b.bin(6_500.0), 1);
         assert_eq!(b.interval_label(0), "[0, 6500)");
         assert_eq!(b.interval_label(2), "[13000, 19500]");
-    }
-
-    #[test]
-    #[should_panic(expected = "ascending")]
-    fn explicit_rejects_unsorted() {
-        Binner::explicit(vec![0.0, 10.0, 5.0]);
     }
 
     #[test]

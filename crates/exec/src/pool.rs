@@ -9,9 +9,8 @@ use std::time::{Duration, Instant};
 use tnet_obs::{MetricsRegistry, Span};
 
 /// Upper bound on chunks per region. Chunking depends only on input
-/// length — never on thread count — which is the invariant that makes
-/// chunk-level reductions (e.g. EM's log-likelihood) identical across
-/// any thread count, including 1.
+/// length — never on thread count — so a region's chunk count (and the
+/// `exec.chunks` counter) is identical at any thread count, including 1.
 const MAX_CHUNKS: usize = 256;
 
 /// Half-open chunk bounds for `len` items: `min(len, MAX_CHUNKS)`
@@ -52,8 +51,6 @@ pub struct Exec {
     /// Items per chunk for [`Exec::par_map`]/[`Exec::try_par_map`]
     /// (0 = automatic [`chunk_bounds`] sizing). Still a pure function of
     /// input length, so results stay identical at any thread count.
-    /// [`Exec::par_chunks`] deliberately ignores it: chunk-level
-    /// reductions (e.g. EM's log-likelihood sums) pin their boundaries.
     chunk_items: usize,
 }
 
@@ -261,36 +258,6 @@ impl Exec {
         Ok(per_chunk.into_iter().flatten().collect())
     }
 
-    /// Applies `f` to every item for its side effects (no result
-    /// assembly). Ignores cancellation.
-    pub fn par_for_each<T: Sync>(&self, items: &[T], f: impl Fn(&T) + Sync) {
-        let bounds = chunk_bounds(items.len());
-        self.run_region(items.len(), bounds.len(), false, |ci| {
-            let (lo, hi) = bounds[ci];
-            for item in &items[lo..hi] {
-                f(item);
-            }
-        })
-        .expect("non-cancellable region cannot be cancelled");
-    }
-
-    /// Applies `f` to each *chunk* (`f(chunk_index, slice)`), returning
-    /// the per-chunk results in chunk order. Chunk boundaries depend only
-    /// on `items.len()`, so chunk-level reductions are thread-count
-    /// independent. Ignores cancellation.
-    pub fn par_chunks<T: Sync, R: Send>(
-        &self,
-        items: &[T],
-        f: impl Fn(usize, &[T]) -> R + Sync,
-    ) -> Vec<R> {
-        let bounds = chunk_bounds(items.len());
-        self.run_region(items.len(), bounds.len(), false, |ci| {
-            let (lo, hi) = bounds[ci];
-            f(ci, &items[lo..hi])
-        })
-        .expect("non-cancellable region cannot be cancelled")
-    }
-
     /// The region engine: `n_chunks` units of work claimed off an atomic
     /// cursor by `min(threads, n_chunks)` workers (the caller included),
     /// results reassembled in chunk order.
@@ -418,11 +385,9 @@ mod tests {
             assert_eq!(exec.counters().chunks, 4, "threads={threads}");
             assert_eq!(exec.metrics().get("exec.chunk_items"), 32);
         }
-        // Children inherit the hint; par_chunks ignores it.
+        // Children inherit the hint.
         let exec = Exec::new(2).with_chunk_items(7);
         assert_eq!(exec.child().chunk_items(), 7);
-        let n_chunks = exec.par_chunks(&items, |ci, _| ci).len();
-        assert_eq!(n_chunks, 100, "par_chunks keeps automatic boundaries");
     }
 
     #[test]
@@ -437,16 +402,17 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_boundaries_independent_of_threads() {
+    fn map_chunks_independent_of_threads() {
         let items: Vec<u32> = (0..1234).collect();
-        let chunked = |threads| {
-            Exec::new(threads).par_chunks(&items, |ci, slice| (ci, slice.len(), slice[0]))
-        };
-        let one = chunked(1);
-        assert_eq!(one, chunked(2));
-        assert_eq!(one, chunked(8));
-        let total: usize = one.iter().map(|&(_, n, _)| n).sum();
-        assert_eq!(total, items.len());
+        for threads in [1, 2, 8] {
+            let exec = Exec::new(threads);
+            assert_eq!(exec.par_map(&items, |&x| x), items);
+            assert_eq!(
+                exec.counters().chunks,
+                MAX_CHUNKS as u64,
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]
@@ -454,16 +420,6 @@ mod tests {
         let exec = Exec::new(4);
         let out: Vec<u8> = exec.par_map(&[] as &[u8], |&x| x);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn par_for_each_visits_every_item_once() {
-        let hits: Vec<AtomicU64> = (0..999).map(|_| AtomicU64::new(0)).collect();
-        let items: Vec<usize> = (0..999).collect();
-        Exec::new(6).par_for_each(&items, |&i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]

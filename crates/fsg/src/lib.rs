@@ -25,7 +25,6 @@ mod embed;
 pub mod extend;
 pub mod miner;
 pub mod nbhd;
-pub mod session;
 pub mod tidset;
 pub mod types;
 
@@ -35,5 +34,4 @@ pub use nbhd::{
     mine_frozen, mine_neighborhoods, NbhdConfig, NbhdError, NbhdIndex, NbhdOutput, NbhdPattern,
     NbhdStats, NbhdView,
 };
-pub use session::{MineSession, SessionStats};
 pub use types::{FrequentPattern, FsgConfig, FsgError, FsgOutput, MiningStats, Support};

@@ -14,7 +14,6 @@
 
 use crate::embed::{grow_store, level1_store, seed_cap, txn_cap, EmbStore, Grown};
 use crate::extend::{closure_sub_patterns, extend_pattern, EdgeVocab, PairFilter};
-use crate::session::IncrCtx;
 use crate::tidset::{self, TidBitset};
 use crate::types::{FrequentPattern, FsgConfig, FsgError, FsgOutput, MiningStats};
 use tnet_exec::Exec;
@@ -65,15 +64,11 @@ enum Verdict {
     Pruned(VerdictStats),
     /// Survived closure; support counted by embedding propagation (or
     /// scratch VF2 when `embedding_cap == 0`). `stores[i]` belongs to
-    /// `tids[i]` and is empty in scratch mode. `exact` marks a complete
-    /// count — `tids` is the candidate's entire support set, not a
-    /// partial list abandoned by an early gate or infeasibility exit —
-    /// and gates admission to the session's candidate log.
+    /// `tids[i]` and is empty in scratch mode.
     Counted {
         tids: Vec<u32>,
         stores: Vec<EmbStore>,
         stats: VerdictStats,
-        exact: bool,
     },
 }
 
@@ -147,25 +142,6 @@ pub fn mine_source<T: TxnSource + ?Sized>(
     transactions: &T,
     cfg: &FsgConfig,
     exec: &Exec,
-) -> Result<FsgOutput, FsgError> {
-    mine_core(transactions, cfg, exec, None)
-}
-
-/// The full level-wise loop behind [`mine_source`] and the incremental
-/// [`crate::session::MineSession`]. With `incr = None` this *is* the
-/// stateless miner. With an [`IncrCtx`], candidate generation runs
-/// unchanged (so candidate order — and therefore output order — is
-/// identical to the stateless path), but support counting consults the
-/// session's cached lattice first: a cached candidate's overlap
-/// support is reused verbatim and only the added transaction region is
-/// intersected and searched, with embedding propagation still on.
-/// Both modes compute the exact same support sets, so the output is
-/// byte-identical by construction.
-pub(crate) fn mine_core<T: TxnSource + ?Sized>(
-    transactions: &T,
-    cfg: &FsgConfig,
-    exec: &Exec,
-    incr: Option<&IncrCtx>,
 ) -> Result<FsgOutput, FsgError> {
     if exec.is_cancelled() {
         return Err(FsgError::Cancelled);
@@ -265,12 +241,6 @@ pub(crate) fn mine_core<T: TxnSource + ?Sized>(
     // Embedding stores for the current level, parallel to `frequent`
     // (`stores[i][k]` covers `frequent[i].tids[k]`). Only the frontier
     // level is retained; finished levels keep just their TID lists.
-    // Incremental windows (a session context carrying a cached lattice)
-    // keep propagation on too: a cached candidate's overlap support is
-    // reused verbatim and its overlap stores are primed empty-inexact,
-    // so descendants route through the existing unverified-miss
-    // machinery (alternate anchors, then a scratch settle that harvests
-    // seeds) exactly where overlap embeddings are genuinely needed.
     let cap = cfg.embedding_cap;
     let mut stores: Vec<Vec<EmbStore>> = if cap > 0 && cfg.max_edges > 1 {
         let _t = span.time("embed_seed");
@@ -374,176 +344,19 @@ pub(crate) fn mine_core<T: TxnSource + ?Sized>(
                     .map(|&i| frequent[i].tids.len())
                     .min()
                     .expect("candidate without parents");
-                let mut tids: Vec<u32> = Vec::new();
-                let mut new_stores: Vec<EmbStore> = Vec::new();
-                // Incremental fast path: a cache hit already knows the
-                // candidate's exact support over the overlap, so the
-                // full-window intersection, both support gates, and the
-                // closure canonicalizations are all skippable — only the
-                // *added-region* intersection of the generating parents
-                // matters, and that is a handful of word ANDs over the
-                // tail of the window. The added region is then counted
-                // exactly like the full path (the labeled block yields
-                // the scan set). Skipping the closure check cannot
-                // change the output: a candidate with an infrequent
-                // sub-pattern is support-bounded by it, so it counts
-                // below threshold and is dropped by the fold either way.
-                // Overlap transactions get empty-inexact stores
-                // (placeholders aligned with `tids`): children landing
-                // there take the unverified-miss path below and
-                // materialize embeddings only where genuinely needed.
-                let inter: Vec<u32> = 'scan: {
-                    if let Some(ic) = incr {
-                        if ic.has_cache() {
-                            if let Some(known) = ic.lookup(level, candidate) {
-                                let alo = ic.added_lo;
-                                let added: Vec<u32> = if distinct.len() > 1
-                                    && distinct.iter().all(|&i| bitsets[i].is_some())
-                                {
-                                    let w0 = (alo / 64) as usize;
-                                    let first = bitsets[distinct[0]].as_ref().unwrap().words();
-                                    if w0 >= first.len() {
-                                        Vec::new()
-                                    } else {
-                                        let mut acc = first[w0..].to_vec();
-                                        acc[0] &= !0u64 << (alo % 64);
-                                        for &pi in &distinct[1..] {
-                                            tidset::and_words(
-                                                &mut acc,
-                                                &bitsets[pi].as_ref().unwrap().words()[w0..],
-                                            );
-                                            vstats.bitset_intersections += 1;
-                                        }
-                                        let base = (w0 as u32) * 64;
-                                        tidset::materialize(&acc)
-                                            .into_iter()
-                                            .map(|t| t + base)
-                                            .collect()
-                                    }
-                                } else {
-                                    let t0 = &frequent[distinct[0]].tids;
-                                    let mut added = t0[t0.partition_point(|&x| x < alo)..].to_vec();
-                                    for &pi in &distinct[1..] {
-                                        if added.is_empty() {
-                                            break;
-                                        }
-                                        let t = &frequent[pi].tids;
-                                        added = intersect_sorted(
-                                            &added,
-                                            &t[t.partition_point(|&x| x < alo)..],
-                                        );
-                                    }
-                                    added
-                                };
-                                if added.is_empty() {
-                                    ic.recount_skips
-                                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                    let stores = if cap > 0 && !last_level {
-                                        (0..known.len())
-                                            .map(|_| {
-                                                EmbStore::from_rows(
-                                                    candidate.vertex_count(),
-                                                    Vec::new(),
-                                                    false,
-                                                )
-                                            })
-                                            .collect()
-                                    } else {
-                                        Vec::new()
-                                    };
-                                    return Verdict::Counted {
-                                        tids: known,
-                                        stores,
-                                        stats: vstats,
-                                        exact: true,
-                                    };
-                                }
-                                ic.patterns_recounted
-                                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                tids = known;
-                                if cap > 0 && !last_level {
-                                    for _ in 0..tids.len() {
-                                        new_stores.push(EmbStore::from_rows(
-                                            candidate.vertex_count(),
-                                            Vec::new(),
-                                            false,
-                                        ));
-                                    }
-                                }
-                                break 'scan added;
-                            }
-                        }
-                    }
-                    let inter: Vec<u32> =
-                        if distinct.len() > 1 && distinct.iter().all(|&i| bitsets[i].is_some()) {
-                            // Branchless word ANDs; materializing ascending
-                            // reproduces the sorted merge's output exactly.
-                            let mut acc = bitsets[distinct[0]].as_ref().unwrap().words().to_vec();
-                            for &pi in &distinct[1..] {
-                                tidset::and_words(&mut acc, bitsets[pi].as_ref().unwrap().words());
-                                vstats.bitset_intersections += 1;
-                            }
-                            tidset::materialize(&acc)
-                        } else {
-                            let mut inter: Vec<u32> = frequent[distinct[0]].tids.clone();
-                            for &pi in &distinct[1..] {
-                                if inter.is_empty() {
-                                    break;
-                                }
-                                inter = intersect_sorted(&inter, &frequent[pi].tids);
-                            }
-                            inter
-                        };
-                    vstats.tid_intersection_skips = min_parent_len - inter.len();
-                    // The intersection bounds support from above. When it is
-                    // already below threshold the candidate cannot be
-                    // frequent, so neither the closure canonicalizations nor
-                    // any per-transaction work can change the outcome — this
-                    // cheap word-AND test retires the bulk of the generated
-                    // candidates on dense workloads.
-                    if inter.len() < min_support {
-                        return Verdict::Counted {
-                            tids: Vec::new(),
-                            stores: Vec::new(),
-                            stats: vstats,
-                            exact: false,
-                        };
-                    }
-                    // Closure: every connected k-edge sub-pattern must be
-                    // frequent (deleting the appended edge reproduces the
-                    // generating parent, which already is). Checked after the
-                    // intersection gate: each sub-pattern lookup costs a
-                    // canonical form, the intersection costs a few word ANDs.
-                    // The lookups also recover each sub-pattern's frequent
-                    // index, so the supporting set can be narrowed further
-                    // below: a transaction missing *any* sub-pattern cannot
-                    // contain the candidate.
-                    let mut closure_parents: Vec<usize> = Vec::new();
-                    for sub in closure_sub_patterns(candidate) {
-                        match prev_index.get(&sub) {
-                            None => return Verdict::Pruned(vstats),
-                            Some(&pi) => closure_parents.push(pi),
-                        }
-                    }
-                    // Refine the supporting set with the closure parents the
-                    // generation step didn't know about. Re-gating afterwards
-                    // retires candidates whose sub-patterns never co-occur
-                    // often enough — before any per-transaction search runs.
-                    closure_parents.retain(|pi| !distinct.contains(pi));
-                    closure_parents.sort_unstable();
-                    closure_parents.dedup();
-                    let inter: Vec<u32> = if closure_parents.is_empty() {
-                        inter
-                    } else if closure_parents.iter().all(|&i| bitsets[i].is_some()) {
-                        let mut acc = TidBitset::from_sorted(&inter, txn_count).words().to_vec();
-                        for &pi in &closure_parents {
+                let inter: Vec<u32> =
+                    if distinct.len() > 1 && distinct.iter().all(|&i| bitsets[i].is_some()) {
+                        // Branchless word ANDs; materializing ascending
+                        // reproduces the sorted merge's output exactly.
+                        let mut acc = bitsets[distinct[0]].as_ref().unwrap().words().to_vec();
+                        for &pi in &distinct[1..] {
                             tidset::and_words(&mut acc, bitsets[pi].as_ref().unwrap().words());
                             vstats.bitset_intersections += 1;
                         }
                         tidset::materialize(&acc)
                     } else {
-                        let mut inter = inter;
-                        for &pi in &closure_parents {
+                        let mut inter: Vec<u32> = frequent[distinct[0]].tids.clone();
+                        for &pi in &distinct[1..] {
                             if inter.is_empty() {
                                 break;
                             }
@@ -551,17 +364,72 @@ pub(crate) fn mine_core<T: TxnSource + ?Sized>(
                         }
                         inter
                     };
-                    vstats.tid_intersection_skips = min_parent_len - inter.len();
-                    if inter.len() < min_support {
-                        return Verdict::Counted {
-                            tids: Vec::new(),
-                            stores: Vec::new(),
-                            stats: vstats,
-                            exact: false,
-                        };
+                vstats.tid_intersection_skips = min_parent_len - inter.len();
+                // The intersection bounds support from above. When it is
+                // already below threshold the candidate cannot be
+                // frequent, so neither the closure canonicalizations nor
+                // any per-transaction work can change the outcome — this
+                // cheap word-AND test retires the bulk of the generated
+                // candidates on dense workloads.
+                if inter.len() < min_support {
+                    return Verdict::Counted {
+                        tids: Vec::new(),
+                        stores: Vec::new(),
+                        stats: vstats,
+                    };
+                }
+                // Closure: every connected k-edge sub-pattern must be
+                // frequent (deleting the appended edge reproduces the
+                // generating parent, which already is). Checked after the
+                // intersection gate: each sub-pattern lookup costs a
+                // canonical form, the intersection costs a few word ANDs.
+                // The lookups also recover each sub-pattern's frequent
+                // index, so the supporting set can be narrowed further
+                // below: a transaction missing *any* sub-pattern cannot
+                // contain the candidate.
+                let mut closure_parents: Vec<usize> = Vec::new();
+                for sub in closure_sub_patterns(candidate) {
+                    match prev_index.get(&sub) {
+                        None => return Verdict::Pruned(vstats),
+                        Some(&pi) => closure_parents.push(pi),
                     }
-                    break 'scan inter;
+                }
+                // Refine the supporting set with the closure parents the
+                // generation step didn't know about. Re-gating afterwards
+                // retires candidates whose sub-patterns never co-occur
+                // often enough — before any per-transaction search runs.
+                closure_parents.retain(|pi| !distinct.contains(pi));
+                closure_parents.sort_unstable();
+                closure_parents.dedup();
+                let inter: Vec<u32> = if closure_parents.is_empty() {
+                    inter
+                } else if closure_parents.iter().all(|&i| bitsets[i].is_some()) {
+                    let mut acc = TidBitset::from_sorted(&inter, txn_count).words().to_vec();
+                    for &pi in &closure_parents {
+                        tidset::and_words(&mut acc, bitsets[pi].as_ref().unwrap().words());
+                        vstats.bitset_intersections += 1;
+                    }
+                    tidset::materialize(&acc)
+                } else {
+                    let mut inter = inter;
+                    for &pi in &closure_parents {
+                        if inter.is_empty() {
+                            break;
+                        }
+                        inter = intersect_sorted(&inter, &frequent[pi].tids);
+                    }
+                    inter
                 };
+                vstats.tid_intersection_skips = min_parent_len - inter.len();
+                if inter.len() < min_support {
+                    return Verdict::Counted {
+                        tids: Vec::new(),
+                        stores: Vec::new(),
+                        stats: vstats,
+                    };
+                }
+                let mut tids: Vec<u32> = Vec::new();
+                let mut new_stores: Vec<EmbStore> = Vec::new();
 
                 // Scratch-search machinery (search plan + edge-label
                 // prefilter) is built lazily: with propagation on, most
@@ -595,7 +463,6 @@ pub(crate) fn mine_core<T: TxnSource + ?Sized>(
                         tids,
                         stores: new_stores,
                         stats: vstats,
-                        exact: true,
                     };
                 }
 
@@ -689,18 +556,14 @@ pub(crate) fn mine_core<T: TxnSource + ?Sized>(
                 };
                 let mut scratch: Option<(Matcher, FxHashMap<u32, usize>)> = None;
                 let mut j = 0usize;
-                let mut exact = true;
                 for (seen, &tid) in inter.iter().enumerate() {
                     // Infeasibility early-exit: once the misses so far
                     // leave fewer remaining transactions than the support
                     // deficit, the candidate cannot reach threshold and
                     // the per-transaction work left (extensions, scratch
                     // settles) cannot change the verdict. The partial
-                    // `tids`/`stores` are discarded by the fold below
-                    // (and `exact = false` keeps them out of a session's
-                    // candidate log).
+                    // `tids`/`stores` are discarded by the fold below.
                     if tids.len() + (inter.len() - seen) < min_support {
-                        exact = false;
                         break;
                     }
                     while p0_tids[j] < tid {
@@ -839,7 +702,6 @@ pub(crate) fn mine_core<T: TxnSource + ?Sized>(
                     tids,
                     stores: new_stores,
                     stats: vstats,
-                    exact,
                 }
             })
             .map_err(|_| FsgError::Cancelled)?;
@@ -858,7 +720,6 @@ pub(crate) fn mine_core<T: TxnSource + ?Sized>(
                     tids,
                     stores: st,
                     stats: vstats,
-                    exact,
                 } => {
                     stats.iso_tests += vstats.iso_tests;
                     stats.iso_nodes += vstats.iso_nodes;
@@ -867,21 +728,7 @@ pub(crate) fn mine_core<T: TxnSource + ?Sized>(
                     stats.embeddings_spilled += vstats.embeddings_spilled;
                     stats.tid_intersection_skips += vstats.tid_intersection_skips;
                     stats.bitset_intersections += vstats.bitset_intersections;
-                    // Session runs log every exactly-counted candidate —
-                    // frequent or not — so the next window can re-count
-                    // just its added region instead of paying a fresh
-                    // search for a candidate it already settled. This
-                    // fold is sequential in candidate order, so the log
-                    // is deterministic at any thread count. Infrequent
-                    // candidates (dropped otherwise) move into the log;
-                    // frequent ones are cloned since they also continue
-                    // into the lattice.
                     if tids.len() >= min_support {
-                        if exact {
-                            if let Some(ic) = incr {
-                                ic.log_candidate(level, &candidate, &tids);
-                            }
-                        }
                         next.push(FrequentPattern {
                             support: tids.len(),
                             graph: candidate,
@@ -890,10 +737,6 @@ pub(crate) fn mine_core<T: TxnSource + ?Sized>(
                         if cap > 0 {
                             level_soa_bytes += st.iter().map(|s| s.byte_len()).sum::<usize>();
                             next_stores.push(st);
-                        }
-                    } else if exact {
-                        if let Some(ic) = incr {
-                            ic.log_candidate_owned(level, candidate, tids);
                         }
                     }
                 }

@@ -1,9 +1,9 @@
-//! Rendering graphs as Graphviz DOT and compact one-line descriptions.
+//! Rendering graphs as Graphviz DOT and ASCII adjacency listings.
 //!
 //! The paper presents every discovered pattern as a small figure
 //! (Figures 1–4); these helpers regenerate equivalent artifacts.
 
-use crate::graph::{Graph, VertexId};
+use crate::graph::Graph;
 use std::fmt::Write as _;
 
 /// Renders a graph as Graphviz DOT (`digraph`), labeling vertices with
@@ -23,35 +23,6 @@ pub fn to_dot(g: &Graph, name: &str) -> String {
     }
     s.push_str("}\n");
     s
-}
-
-/// A compact, deterministic one-line rendering of a graph's structure:
-/// `v:<sorted vertex labels> e:<sorted "srcIdx-[lbl]->dstIdx" entries>`
-/// using a BFS renumbering from the lowest vertex id. Two renderings being
-/// equal does *not* prove isomorphism; this is for logs and reports.
-pub fn to_compact(g: &Graph) -> String {
-    let mut vlabels: Vec<u32> = g.vertices().map(|v| g.vertex_label(v).0).collect();
-    vlabels.sort_unstable();
-    // Deterministic vertex renumbering by id order.
-    let ids: Vec<VertexId> = g.vertices().collect();
-    let index_of = |v: VertexId| ids.iter().position(|&x| x == v).unwrap();
-    let mut edges: Vec<String> = g
-        .edges()
-        .map(|e| {
-            let (s, d, l) = g.edge(e);
-            format!("{}-[{}]->{}", index_of(s), l.0, index_of(d))
-        })
-        .collect();
-    edges.sort_unstable();
-    format!(
-        "v[{}] e[{}]",
-        vlabels
-            .iter()
-            .map(|l| l.to_string())
-            .collect::<Vec<_>>()
-            .join(","),
-        edges.join(" ")
-    )
 }
 
 /// An ASCII-art adjacency rendering for small patterns — the report
@@ -92,13 +63,6 @@ mod tests {
         assert_eq!(dot.matches("label=\"5\"").count(), 3); // 3 vertices
         assert_eq!(dot.matches("label=\"9\"").count(), 2); // 2 edges
         assert_eq!(dot.matches("->").count(), 2);
-    }
-
-    #[test]
-    fn compact_is_deterministic() {
-        let g = shapes::chain(3, 0, 1);
-        assert_eq!(to_compact(&g), to_compact(&g.clone()));
-        assert!(to_compact(&g).contains("0-[1]->1"));
     }
 
     #[test]

@@ -595,12 +595,6 @@ impl TxnSet {
         );
         TxnSlice { set: self, lo, hi }
     }
-
-    /// Total packed edges across transactions `lo..hi`.
-    pub fn edge_count_in(&self, lo: usize, hi: usize) -> usize {
-        assert!(lo <= hi && hi <= self.len());
-        (self.e_off[hi] - self.e_off[lo]) as usize
-    }
 }
 
 /// A contiguous window `lo..hi` of a [`TxnSet`], itself a [`TxnSource`]
@@ -611,23 +605,6 @@ pub struct TxnSlice<'a> {
     set: &'a TxnSet,
     lo: usize,
     hi: usize,
-}
-
-impl<'a> TxnSlice<'a> {
-    /// First transaction index of the window in the backing set.
-    pub fn lo(&self) -> usize {
-        self.lo
-    }
-
-    /// One past the last transaction index in the backing set.
-    pub fn hi(&self) -> usize {
-        self.hi
-    }
-
-    /// The backing set.
-    pub fn set(&self) -> &'a TxnSet {
-        self.set
-    }
 }
 
 impl TxnSource for TxnSlice<'_> {
@@ -854,6 +831,22 @@ mod tests {
         g.remove_edge(es[2]);
         g.remove_vertex(vs[5]);
         g
+    }
+
+    #[test]
+    fn slice_views_match_direct_views() {
+        use crate::view::TxnSource;
+        let txns: Vec<Graph> = (1..=5).map(|n| shapes::chain(n, 0, 1)).collect();
+        let set = TxnSet::freeze(&txns);
+        let slice = set.slice(1, 4);
+        assert_eq!(slice.txn_count(), 3);
+        for i in 0..3 {
+            let a = slice.txn(i);
+            let b = set.get(i + 1);
+            assert_eq!(a.edge_count(), b.edge_count());
+            assert_eq!(a.vertex_count(), b.vertex_count());
+            assert_eq!(a.edge_count(), i + 2);
+        }
     }
 
     #[test]

@@ -51,13 +51,6 @@ pub struct Embedding {
 }
 
 impl Embedding {
-    /// Builds an embedding from a flat assignment (`assignment[i]` =
-    /// image of pattern vertex `i`). Intended for callers that enumerate
-    /// occurrences directly (e.g. single-edge pattern scans).
-    pub fn from_assignment(assignment: Vec<VertexId>) -> Embedding {
-        Embedding { assignment }
-    }
-
     /// Image of pattern vertex `pv`.
     ///
     /// # Panics
@@ -674,7 +667,7 @@ struct Search<'t, G> {
 /// Miners build candidates as `parent.clone()` plus one appended edge
 /// (and, for tree growth, one appended vertex), so the delta is always one
 /// of three shapes. [`derive_extension`] recovers it from the graphs;
-/// [`extend_embedding`] replays it against a stored parent occurrence.
+/// [`extend_embedding_row`] replays it against a stored parent occurrence.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Extension {
     /// New edge `src -> new_vertex`, where the new vertex (pattern slot =
@@ -761,37 +754,6 @@ pub fn derive_extension(parent_vertices: usize, child: &Graph) -> Option<Extensi
     }
 }
 
-/// Extends one parent embedding by `ext`, pushing every resulting child
-/// embedding onto `out`.
-///
-/// With an **unpruned** parent list (see [`Matcher::find_unpruned`]) this
-/// enumerates each child occurrence exactly once: distinct
-/// `(parent embedding, new endpoint)` pairs yield distinct child
-/// embeddings, and parallel target edges to the same endpoint are
-/// deduplicated in place (a scan skipped on targets known to be simple,
-/// see [`GraphView::is_simple`], which have no parallel edges).
-///
-/// Candidate edges come from [`GraphView::visit_out_matching`] /
-/// [`GraphView::visit_in_matching`]: a linear label scan on the arena, a
-/// binary-searched `(ELabel, VLabel)` slice on frozen targets. Both visit
-/// matches in ascending edge-id order, so the emitted embedding order is
-/// representation-independent.
-pub fn extend_embedding<G: GraphView>(
-    target: &G,
-    emb: &Embedding,
-    ext: &Extension,
-    out: &mut Vec<Embedding>,
-) {
-    let mut flat: Vec<VertexId> = Vec::new();
-    extend_embedding_row(target, &emb.assignment, ext, &mut flat);
-    let stride = child_stride(emb.assignment.len(), ext);
-    for row in flat.chunks_exact(stride.max(1)) {
-        out.push(Embedding {
-            assignment: row.to_vec(),
-        });
-    }
-}
-
 /// Row width of the children `ext` produces from a parent row of width
 /// `parent_stride`: one appended slot for the `New*` shapes, unchanged
 /// for `Close`.
@@ -803,13 +765,24 @@ pub fn child_stride(parent_stride: usize, ext: &Extension) -> usize {
     }
 }
 
-/// Structure-of-arrays form of [`extend_embedding`]: the parent occurrence
-/// is a flat assignment slice (`row[i]` = image of pattern vertex `i`) and
-/// every child occurrence is appended to `out` as [`child_stride`]
-/// contiguous ids. Same candidate enumeration, same dedup, same emission
-/// order — only the layout differs, which is what lets the miners' stores
-/// stream one contiguous buffer instead of hopping per-`Embedding` heap
-/// vectors.
+/// Extends one parent occurrence by `ext`. The parent is a flat
+/// assignment slice (`row[i]` = image of pattern vertex `i`); every child
+/// occurrence is appended to `out` as [`child_stride`] contiguous ids.
+/// Streaming one contiguous buffer is what lets the miners' stores avoid
+/// per-embedding heap vectors.
+///
+/// With an **unpruned** parent list (see [`Matcher::find_unpruned`]) this
+/// enumerates each child occurrence exactly once: distinct
+/// `(parent row, new endpoint)` pairs yield distinct children, and
+/// parallel target edges to the same endpoint are deduplicated in place
+/// (a scan skipped on targets known to be simple, see
+/// [`GraphView::is_simple`], which have no parallel edges).
+///
+/// Candidate edges come from [`GraphView::visit_out_matching`] /
+/// [`GraphView::visit_in_matching`]: a linear label scan on the arena, a
+/// binary-searched `(ELabel, VLabel)` slice on frozen targets. Both visit
+/// matches in ascending edge-id order, so the emitted order is
+/// representation-independent.
 pub fn extend_embedding_row<G: GraphView>(
     target: &G,
     row: &[VertexId],
@@ -1305,19 +1278,20 @@ mod tests {
         let parent_embs = Matcher::new(&parent).find_unpruned(&t, Find::All);
         assert_eq!(parent_embs.len(), 12); // 4*3 ordered spoke pairs
         let ext = derive_extension(3, &child).unwrap();
-        let mut grown = Vec::new();
+        let mut flat = Vec::new();
         for e in &parent_embs {
-            extend_embedding(&t, e, &ext, &mut grown);
+            extend_embedding_row(&t, e.as_row(), &ext, &mut flat);
         }
+        let grown: Vec<&[VertexId]> = flat.chunks_exact(4).collect();
         let direct = Matcher::new(&child).find_unpruned(&t, Find::All);
         assert_eq!(grown.len(), direct.len()); // 4*3*2 = 24
-        let key = |e: &Embedding| {
-            let mut v: Vec<VertexId> = e.target_vertices().collect();
+        let key = |row: &[VertexId]| {
+            let mut v = row.to_vec();
             v.sort_unstable();
-            (e.image(VertexId(0)), v)
+            (row[0], v)
         };
-        let mut a: Vec<_> = grown.iter().map(key).collect();
-        let mut b: Vec<_> = direct.iter().map(key).collect();
+        let mut a: Vec<_> = grown.iter().map(|r| key(r)).collect();
+        let mut b: Vec<_> = direct.iter().map(|e| key(e.as_row())).collect();
         a.sort();
         b.sort();
         assert_eq!(a, b);
@@ -1346,11 +1320,10 @@ mod tests {
         let ext = derive_extension(2, &child).unwrap();
         let mut grown = Vec::new();
         for e in &parent_embs {
-            extend_embedding(&t, e, &ext, &mut grown);
+            extend_embedding_row(&t, e.as_row(), &ext, &mut grown);
         }
-        // Only x->y closes back.
-        assert_eq!(grown.len(), 1);
-        assert_eq!(grown[0].image(b), y);
+        // Only x->y closes back; a closing edge keeps the parent's width.
+        assert_eq!(grown, vec![x, y]);
 
         // Parallel target edges to the same endpoint are emitted once.
         let mut pt = Graph::new();
@@ -1358,20 +1331,14 @@ mod tests {
         let py = pt.add_vertex(VLabel(1));
         pt.add_edge(px, py, ELabel(0));
         pt.add_edge(px, py, ELabel(0));
-        let mut single = Graph::new();
-        single.add_vertex(VLabel(0));
-        let embs = vec![Embedding::from_assignment(vec![px])];
         let mut grown_child = Graph::new();
         let ga = grown_child.add_vertex(VLabel(0));
         let gb = grown_child.add_vertex(VLabel(1));
         grown_child.add_edge(ga, gb, ELabel(0));
         let ext = derive_extension(1, &grown_child).unwrap();
         let mut out = Vec::new();
-        for e in &embs {
-            extend_embedding(&pt, e, &ext, &mut out);
-        }
-        assert_eq!(out.len(), 1);
-        let _ = single;
+        extend_embedding_row(&pt, &[px], &ext, &mut out);
+        assert_eq!(out, vec![px, py]);
     }
 
     #[test]

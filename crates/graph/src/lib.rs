@@ -16,7 +16,7 @@
 //!   shared arenas — the read side every miner traverses;
 //! * [`view`] — the [`view::GraphView`] read trait both representations
 //!   implement (and [`view::TxnSource`] for transaction collections);
-//! * [`traverse`] — BFS/DFS, weakly connected components;
+//! * [`traverse`] — BFS reachability, weakly connected components;
 //! * [`iso`] — VF2-style subgraph monomorphism & graph isomorphism,
 //!   implementing the paper's §4 pattern-identity definition;
 //! * [`canon`] — isomorphism-invariant hashing and iso-class keyed maps
@@ -48,7 +48,6 @@
 //! ```
 
 pub mod canon;
-pub mod delta;
 pub mod dot;
 pub mod fingerprint;
 pub mod frozen;
@@ -61,7 +60,6 @@ pub mod stats;
 pub mod traverse;
 pub mod view;
 
-pub use delta::GraphDelta;
 pub use frozen::{FrozenGraph, FrozenStats, TxnRef, TxnSet, TxnSlice};
 pub use graph::{ELabel, EdgeId, Graph, GraphBuilder, VLabel, VertexId};
 pub use view::{GraphView, TxnSource};

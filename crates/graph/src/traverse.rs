@@ -5,7 +5,7 @@
 //! partitioners need: a truck route is "connected" regardless of edge
 //! direction.
 
-use crate::graph::{ELabel, EdgeId, Graph, VertexId};
+use crate::graph::{ELabel, Graph, VertexId};
 use crate::hash::FxHashSet;
 use crate::view::GraphView;
 use std::collections::VecDeque;
@@ -25,28 +25,6 @@ pub fn bfs_reachable(g: &Graph, start: VertexId) -> Vec<VertexId> {
             let other = if s == v { d } else { s };
             if seen.insert(other) {
                 queue.push_back(other);
-            }
-        }
-    }
-    order
-}
-
-/// Vertices reachable from `start` (either direction), depth-first
-/// preorder.
-pub fn dfs_reachable(g: &Graph, start: VertexId) -> Vec<VertexId> {
-    let mut seen: FxHashSet<VertexId> = FxHashSet::default();
-    let mut order = Vec::new();
-    let mut stack = vec![start];
-    while let Some(v) = stack.pop() {
-        if !seen.insert(v) {
-            continue;
-        }
-        order.push(v);
-        for e in g.incident_edges(v) {
-            let (s, d, _) = g.edge(e);
-            let other = if s == v { d } else { s };
-            if !seen.contains(&other) {
-                stack.push(other);
             }
         }
     }
@@ -139,42 +117,6 @@ pub fn count_label_walks<G: GraphView>(g: &G, labels: &[ELabel]) -> u64 {
     ends.iter().fold(0u64, |acc, &n| acc.saturating_add(n))
 }
 
-/// Edges on a shortest (undirected) path from `a` to `b`, or `None` if
-/// unreachable. Useful for diagnostics and pattern rendering.
-pub fn shortest_path(g: &Graph, a: VertexId, b: VertexId) -> Option<Vec<EdgeId>> {
-    if a == b {
-        return Some(Vec::new());
-    }
-    let mut prev: std::collections::HashMap<VertexId, (VertexId, EdgeId)> =
-        std::collections::HashMap::new();
-    let mut queue = VecDeque::new();
-    let mut seen: FxHashSet<VertexId> = FxHashSet::default();
-    seen.insert(a);
-    queue.push_back(a);
-    while let Some(v) = queue.pop_front() {
-        for e in g.incident_edges(v) {
-            let (s, d, _) = g.edge(e);
-            let other = if s == v { d } else { s };
-            if seen.insert(other) {
-                prev.insert(other, (v, e));
-                if other == b {
-                    let mut path = Vec::new();
-                    let mut cur = b;
-                    while cur != a {
-                        let (p, pe) = prev[&cur];
-                        path.push(pe);
-                        cur = p;
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
-                queue.push_back(other);
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,16 +143,6 @@ mod tests {
         let r = bfs_reachable(&g, c);
         assert_eq!(r.len(), 3);
         assert!(r.contains(&a) && r.contains(&b));
-    }
-
-    #[test]
-    fn dfs_matches_bfs_reachability() {
-        let (g, [a, ..]) = two_components();
-        let mut bfs = bfs_reachable(&g, a);
-        let mut dfs = dfs_reachable(&g, a);
-        bfs.sort_unstable();
-        dfs.sort_unstable();
-        assert_eq!(bfs, dfs);
     }
 
     #[test]
@@ -242,15 +174,6 @@ mod tests {
         assert_eq!(parts[0].edge_count(), 2);
         assert_eq!(parts[1].vertex_count(), 2);
         assert_eq!(parts[1].edge_count(), 1);
-    }
-
-    #[test]
-    fn shortest_path_basic() {
-        let (g, [a, _, c, d, _]) = two_components();
-        let p = shortest_path(&g, a, c).unwrap();
-        assert_eq!(p.len(), 2);
-        assert!(shortest_path(&g, a, d).is_none());
-        assert_eq!(shortest_path(&g, a, a).unwrap().len(), 0);
     }
 
     #[test]

@@ -17,6 +17,7 @@
 use crate::split::{split_frozen, Strategy};
 use tnet_exec::Exec;
 use tnet_graph::canon::IsoClassMap;
+use tnet_graph::frozen::FrozenGraph;
 use tnet_graph::graph::Graph;
 use tnet_graph::rng::{derive_seed, StdRng};
 
@@ -44,8 +45,26 @@ pub struct SingleGraphPattern {
 /// Returns patterns deduplicated by isomorphism class, each with the best
 /// support seen and a count of the repetitions that produced it, sorted
 /// by descending support.
+///
+/// Freezes `g` once and delegates to [`mine_single_graph_frozen`];
+/// callers that already hold the frozen form should call that directly.
 pub fn mine_single_graph(
     g: &Graph,
+    k: usize,
+    m: usize,
+    strategy: Strategy,
+    seed: u64,
+    exec: &Exec,
+    mine: impl Fn(&[Graph], &Exec) -> Vec<(Graph, usize)> + Sync,
+) -> Vec<SingleGraphPattern> {
+    mine_single_graph_frozen(&g.freeze(), k, m, strategy, seed, exec, mine)
+}
+
+/// Algorithm 1 over a frozen snapshot: every repetition splits the
+/// shared snapshot through its own deleted-edge overlay instead of
+/// cloning the whole graph. Output as [`mine_single_graph`].
+pub fn mine_single_graph_frozen(
+    frozen: &FrozenGraph,
     k: usize,
     m: usize,
     strategy: Strategy,
@@ -61,9 +80,6 @@ pub fn mine_single_graph(
     let outer = exec.threads().min(m);
     let inner = (exec.threads() / outer).max(1);
     let reps: Vec<u64> = (0..m as u64).collect();
-    // Freeze once; every repetition splits the shared snapshot through
-    // its own deleted-edge overlay instead of cloning the whole graph.
-    let frozen = g.freeze();
     // Pre-register the partition span before the fan-out: repetitions
     // run concurrently, and first-touch registration inside the pool
     // would make the rendered span-tree order depend on scheduling.
@@ -72,7 +88,7 @@ pub fn mine_single_graph(
         let mut rng = StdRng::seed_from_u64(derive_seed(seed, i));
         let transactions = {
             let _t = exec.span().time("partition");
-            split_frozen(&frozen, k, strategy, &mut rng)
+            split_frozen(frozen, k, strategy, &mut rng)
         };
         mine(&transactions, &exec.child_with_threads(inner))
     });

@@ -5,8 +5,8 @@
 //! units, after Kosyfaki et al.'s multi-granularity spatio-temporal flow
 //! patterns. A window is a contiguous run of units; because every unit's
 //! FSG-ready transactions are materialized once in unit order, a window
-//! is just a contiguous transaction range — which is what lets the
-//! incremental mining session share one frozen CSR across windows.
+//! is just a contiguous transaction range — which is what lets every
+//! window mine a slice of one frozen CSR.
 
 use crate::temporal::{refine_graphs, validate_dates, TemporalError, TemporalOptions};
 use std::collections::HashMap;

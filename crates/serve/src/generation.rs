@@ -2,8 +2,8 @@
 //!
 //! A generation is the live transaction set at one publish instant plus
 //! everything a query needs precomputed from it: the fitted
-//! [`BinScheme`] and, per edge labeling, the deduplicated OD
-//! [`Graph`] and its [`FrozenGraph`] CSR snapshot. Construction runs
+//! [`BinScheme`] and, per edge labeling, the [`FrozenGraph`] CSR
+//! snapshot of the deduplicated OD graph. Construction runs
 //! the *same* code path as the offline commands (`fit_width_transactions`
 //! → `build_od_graph` → `dedup_edges` → `freeze`), which is what makes
 //! query replies byte-identical to `tnet mine` / `tnet stats` on a dump
@@ -17,21 +17,14 @@ use tnet_data::binning::BinScheme;
 use tnet_data::model::Transaction;
 use tnet_data::od_graph::{build_od_graph, EdgeLabeling, VertexLabeling};
 use tnet_graph::frozen::FrozenGraph;
-use tnet_graph::graph::Graph;
-
-/// One edge labeling's view of the snapshot.
-pub struct LabeledGraph {
-    /// The deduplicated OD graph (arena form — what Algorithm 1 mines).
-    pub graph: Graph,
-    /// The CSR freeze of `graph` (what support queries walk).
-    pub frozen: FrozenGraph,
-}
 
 /// Snapshot data that only exists when the dataset is non-empty.
 pub struct GenData {
     pub scheme: BinScheme,
+    /// The CSR freeze of each deduplicated OD graph — what support
+    /// queries walk and what Algorithm 1 splits for pattern queries.
     /// Indexed by [`labeling_index`]: OD_GW, OD_TH, OD_TD.
-    pub graphs: [LabeledGraph; 3],
+    pub graphs: [FrozenGraph; 3],
 }
 
 /// A published snapshot: id, live transactions, and derived graphs.
@@ -71,8 +64,7 @@ impl Generation {
         let build = |labeling| {
             let mut g = build_od_graph(&txns, &scheme, labeling, VertexLabeling::Uniform).graph;
             g.dedup_edges();
-            let frozen = g.freeze();
-            LabeledGraph { graph: g, frozen }
+            g.freeze()
         };
         let graphs = [
             build(EdgeLabeling::GrossWeight),
@@ -86,9 +78,9 @@ impl Generation {
         })
     }
 
-    /// The labeling's view, or a uniform protocol-level explanation for
-    /// the empty dataset.
-    pub fn labeled(&self, labeling: EdgeLabeling) -> Result<&LabeledGraph, PipelineError> {
+    /// The labeling's frozen OD graph, or a uniform protocol-level
+    /// explanation for the empty dataset.
+    pub fn labeled(&self, labeling: EdgeLabeling) -> Result<&FrozenGraph, PipelineError> {
         match &self.data {
             Some(d) => Ok(&d.graphs[labeling_index(labeling)]),
             None => Err(PipelineError::Protocol {
@@ -138,11 +130,9 @@ mod tests {
             let mut offline =
                 build_od_graph(&txns, &scheme, labeling, VertexLabeling::Uniform).graph;
             offline.dedup_edges();
-            let lg = g.labeled(labeling).unwrap();
-            assert_eq!(lg.graph.vertex_count(), offline.vertex_count());
-            assert_eq!(lg.graph.edge_count(), offline.edge_count());
-            assert_eq!(lg.frozen.vertex_count(), offline.vertex_count());
-            assert_eq!(lg.frozen.edge_count(), offline.edge_count());
+            let fg = g.labeled(labeling).unwrap();
+            assert_eq!(fg.vertex_count(), offline.vertex_count());
+            assert_eq!(fg.edge_count(), offline.edge_count());
         }
     }
 }

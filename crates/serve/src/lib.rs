@@ -10,7 +10,7 @@
 //!   hazard-pointer cell; readers pin the current one with a few atomic
 //!   operations and zero locks.
 //! - [`generation`] — the snapshot itself: live transactions plus the
-//!   deduplicated OD graph and frozen CSR per edge labeling, built by
+//!   frozen CSR of the deduplicated OD graph per edge labeling, built by
 //!   the *same* code path as `tnet mine` / `tnet stats` so online
 //!   replies are byte-identical to offline runs on the same data.
 //! - [`writer`] — the single mutator: batched appends and tombstone

@@ -17,7 +17,7 @@ use tnet_exec::Exec;
 use tnet_fsg::{mine_with, FsgConfig, Support};
 use tnet_graph::traverse::count_label_walks;
 use tnet_graph::view::GraphView;
-use tnet_partition::single_graph::mine_single_graph;
+use tnet_partition::single_graph::mine_single_graph_frozen;
 
 /// Executes a cacheable query (`stats` / `support` / `pattern`) and
 /// returns the serialized one-line reply. Non-query ops (ping, trace,
@@ -26,15 +26,15 @@ pub fn execute(gen: &Generation, req: &Request, exec: &Exec) -> Result<String, P
     match req {
         Request::Stats => stats_reply(gen),
         Request::Support { labeling, labels } => {
-            let lg = gen.labeled(*labeling)?;
-            let count = count_label_walks(&lg.frozen, labels);
+            let fg = gen.labeled(*labeling)?;
+            let count = count_label_walks(fg, labels);
             Ok(format!(
                 "{{\"ok\":true,\"op\":\"support\",\"generation\":{},\"labeling\":{},\
                  \"count\":{count},\"vertices\":{},\"edges\":{}}}",
                 gen.id,
                 json_string(labeling.name()),
-                lg.frozen.vertex_count(),
-                lg.frozen.edge_count(),
+                fg.vertex_count(),
+                fg.edge_count(),
             ))
         }
         Request::Pattern {
@@ -46,7 +46,7 @@ pub fn execute(gen: &Generation, req: &Request, exec: &Exec) -> Result<String, P
             reps,
             top,
         } => {
-            let lg = gen.labeled(*labeling)?;
+            let fg = gen.labeled(*labeling)?;
             // Mirrors `tnet mine` exactly: same FsgConfig, same seed,
             // same sort, same line format. Changing anything here
             // breaks the serve-vs-offline differential test.
@@ -54,22 +54,17 @@ pub fn execute(gen: &Generation, req: &Request, exec: &Exec) -> Result<String, P
                 .with_support(Support::Count(*support))
                 .with_max_edges(*max_edges)
                 .with_memory_budget(512 << 20);
-            let mut patterns = mine_single_graph(
-                &lg.graph,
-                *partitions,
-                *reps,
-                *strategy,
-                42,
-                exec,
-                |t, e| match mine_with(t, &cfg, e) {
-                    Ok(out) => out
-                        .patterns
-                        .into_iter()
-                        .map(|p| (p.graph, p.support))
-                        .collect(),
-                    Err(_) => Vec::new(),
-                },
-            );
+            let mut patterns =
+                mine_single_graph_frozen(fg, *partitions, *reps, *strategy, 42, exec, |t, e| {
+                    match mine_with(t, &cfg, e) {
+                        Ok(out) => out
+                            .patterns
+                            .into_iter()
+                            .map(|p| (p.graph, p.support))
+                            .collect(),
+                        Err(_) => Vec::new(),
+                    }
+                });
             patterns.sort_by(|a, b| {
                 interestingness(&b.pattern, b.support)
                     .total()
@@ -148,10 +143,10 @@ mod tests {
         let g = generation(150);
         let req = parse_request(r#"{"op":"support","labeling":"gw","labels":[0]}"#).unwrap();
         let reply = execute(&g, &req, &Exec::sequential()).unwrap();
-        let lg = g
+        let fg = g
             .labeled(tnet_data::od_graph::EdgeLabeling::GrossWeight)
             .unwrap();
-        let want = count_label_walks(&lg.frozen, &[tnet_graph::graph::ELabel(0)]);
+        let want = count_label_walks(fg, &[tnet_graph::graph::ELabel(0)]);
         assert!(reply.contains(&format!("\"count\":{want}")), "{reply}");
     }
 

@@ -222,11 +222,6 @@ impl ServerHandle {
         self.shared.shutdown.clone()
     }
 
-    /// True once shutdown has been requested (by any path).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.is_cancelled()
-    }
-
     /// Blocks until shutdown is requested.
     pub fn wait(&self) {
         while !self
