@@ -436,16 +436,4 @@ rm -rf "$DUR_DIR" /tmp/tnet_ci_wal.bak \
     "$DUR_LOG" "$DUR_LOG.control" "$DUR_LOG.corrupt" "$DUR_LOG.torn" \
     "$SERVE_PORT_FILE"
 
-echo "== bench smoke: serve report emits valid JSON, gates pass"
-# In-process daemon under a mixed read/ingest load plus the durability
-# overhead pass; --validate re-parses the report and re-checks the
-# cache/generation/error gates and the recovery gates (every
-# acknowledged record recovered, zero checksum errors).
-BENCH_SERVE_OUT=/tmp/tnet_ci_bench_serve.json
-cargo run --release -q -p tnet-bench --offline --bin bench_serve -- \
-    --smoke --out "$BENCH_SERVE_OUT"
-cargo run --release -q -p tnet-bench --offline --bin bench_serve -- \
-    --validate "$BENCH_SERVE_OUT"
-rm -f "$BENCH_SERVE_OUT"
-
 echo "ci.sh: all green"

@@ -1,4 +1,3 @@
-//! Shared helpers for the benchmark binaries (`bench_miners`,
-//! `bench_serve`).
+//! Shared helpers for the `bench_miners` benchmark binary.
 
 pub mod harness;

@@ -107,13 +107,21 @@ pub fn load_transactions(args: &crate::args::Args) -> Result<Vec<Transaction>, C
             File::open(path).map_err(|e| CliError::Runtime(format!("cannot open {path}: {e}")))?;
         return Ok(tnet_data::csv::read_csv(BufReader::new(file))?);
     }
-    let scale: f64 = args.get_parsed_or("scale", 0.02)?;
+    let scale = fraction_arg(args, "scale", 0.02)?;
     let seed: u64 = args.get_parsed_or("seed", 42)?;
-    if !(0.0..=1.0).contains(&scale) || scale <= 0.0 {
-        return Err(ArgError("--scale must be in (0, 1]".into()).into());
-    }
     let cfg = tnet_data::synth::SynthConfig::scaled(scale).with_seed(seed);
     Ok(tnet_data::synth::generate(&cfg).transactions)
+}
+
+/// A fraction option such as `--scale` or `--support`, checked to lie in
+/// (0, 1] as `SynthConfig::scaled` and `Support::Fraction` require (both
+/// panic otherwise); written so that NaN fails too.
+pub fn fraction_arg(args: &crate::args::Args, key: &str, default: f64) -> Result<f64, CliError> {
+    let value: f64 = args.get_parsed_or(key, default)?;
+    if !(value > 0.0 && value <= 1.0) {
+        return Err(ArgError(format!("--{key} must be in (0, 1]")).into());
+    }
+    Ok(value)
 }
 
 /// Shared tail of the mining commands (`mine`, windowed `temporal`):

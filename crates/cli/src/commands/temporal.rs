@@ -7,7 +7,7 @@
 //! through the shared maximal/top-N/dot pipeline.
 
 use crate::args::{ArgError, Args};
-use crate::commands::{load_transactions, obs_context, report_patterns};
+use crate::commands::{fraction_arg, load_transactions, obs_context, report_patterns};
 use crate::error::CliError;
 use tnet_core::experiments::temporal::{quiet_day_label_limit, run_fig4, run_fsg_oom, run_table2};
 use tnet_fsg::{FsgConfig, Support};
@@ -32,15 +32,15 @@ pub fn run(args: &Args) -> Result<(), CliError> {
         "threads",
     ])?;
     let exec = args.exec()?;
-    let txns = load_transactions(args)?;
     let quiet_fraction: f64 = args.get_parsed_or("quiet-fraction", 0.1)?;
     if !(0.0..=1.0).contains(&quiet_fraction) {
         return Err(ArgError("--quiet-fraction must be in [0, 1]".into()).into());
     }
     let budget_mb: usize = args.get_parsed_or("budget-mb", 256)?;
     let oom_support: usize = args.get_parsed_or("oom-support", 8)?;
-    let support: f64 = args.get_parsed_or("support", 0.05)?;
+    let support = fraction_arg(args, "support", 0.05)?;
     let max_edges: usize = args.get_parsed_or("max-edges", 5)?;
+    let txns = load_transactions(args)?;
 
     let t2 = run_table2(&txns)?;
     outln!("{t2}");
@@ -183,7 +183,7 @@ fn run_windowed(args: &Args) -> Result<(), CliError> {
         // Attribution against planted structure is only meaningful for
         // the synthetic generator (CSV inputs have no ground truth).
         if args.get("input").is_none() {
-            let scale: f64 = args.get_parsed_or("scale", 0.02)?;
+            let scale = fraction_arg(args, "scale", 0.02)?;
             let seed: u64 = args.get_parsed_or("seed", 42)?;
             let ds = tnet_data::synth::generate(
                 &tnet_data::synth::SynthConfig::scaled(scale).with_seed(seed),

@@ -91,6 +91,29 @@ fn unparseable_value_is_usage_error() {
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--scale"));
+    // Fractions that must lie in (0, 1]: out-of-range values, NaN
+    // included, are usage errors, never a panic (exit 101).
+    for (flag, args) in [
+        (
+            "--support",
+            ["temporal", "--scale", "0.005", "--support", "1.5"],
+        ),
+        (
+            "--support",
+            ["temporal", "--scale", "0.005", "--support", "0"],
+        ),
+        (
+            "--support",
+            ["temporal", "--scale", "0.005", "--support", "nan"],
+        ),
+        ("--scale", ["gen", "--out", "unused.csv", "--scale", "nan"]),
+        ("--scale", ["report", "--threads", "1", "--scale", "nan"]),
+        ("--scale", ["report", "--threads", "1", "--scale", "2"]),
+    ] {
+        let out = tnet().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains(flag));
+    }
 }
 
 #[test]

@@ -51,8 +51,8 @@ pub enum PipelineError {
         offset: u64,
         message: String,
     },
-    /// The daemon is at a capacity limit (all reader slots pinned, too
-    /// many concurrent connections). Transient by construction: the
+    /// The daemon is at a capacity limit (too many concurrent
+    /// connections). Transient by construction: the
     /// client should back off and retry, so this is the one serving
     /// error marked retryable.
     Overloaded { message: String },
@@ -235,7 +235,7 @@ mod tests {
         assert!(c.to_string().contains("wal.log"));
         assert!(c.to_string().contains("4096"));
         let o = PipelineError::Overloaded {
-            message: "all 128 reader slots pinned".into(),
+            message: "all 128 connections are in use".into(),
         };
         assert_eq!(o.kind(), "overloaded");
         assert!(o.is_retryable(), "overload is transient by construction");

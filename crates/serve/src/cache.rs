@@ -4,8 +4,7 @@
 //! their serialized replies can be replayed verbatim. Keying on the
 //! generation id means a publish invalidates the whole cache *by
 //! construction* — stale entries simply stop being asked for and age
-//! out of the LRU; there is no invalidation walk and no epoch in the
-//! cache itself.
+//! out of the LRU; there is no invalidation walk.
 //!
 //! The store sits behind one mutex, but the read path never *blocks* on
 //! it: lookups and inserts use `try_lock`, and contention is just

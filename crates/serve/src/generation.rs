@@ -1,4 +1,5 @@
-//! An immutable generation: the unit readers pin and the writer swaps.
+//! An immutable generation, and [`Current`]: the cell the writer
+//! publishes it through and every query reads it from.
 //!
 //! A generation is the live transaction set at one publish instant plus
 //! everything a query needs precomputed from it: the fitted
@@ -9,9 +10,11 @@
 //! query replies byte-identical to `tnet mine` / `tnet stats` on a dump
 //! of the same snapshot — the differential tests rely on it.
 //!
-//! Everything here is built by the writer thread *before* the epoch
-//! swap; readers touch only `&self`.
+//! Everything here is built by the writer thread *before* the swap;
+//! readers touch only `&self`.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, PoisonError, RwLock};
 use tnet_core::error::PipelineError;
 use tnet_data::binning::BinScheme;
 use tnet_data::model::Transaction;
@@ -93,6 +96,53 @@ impl Generation {
     }
 }
 
+/// The generation queries read now. The writer replaces it with
+/// [`Current::set`]; a query takes its own `Arc` with [`Current::get`]
+/// and keeps answering from that snapshot however many publishes land
+/// meanwhile. The lock is held only for one `Arc` clone or one pointer
+/// swap, never while a generation is built, queried or dropped.
+pub struct Current {
+    gen: RwLock<Arc<Generation>>,
+    /// Successful publishes so far, readable without the lock. A
+    /// statistic that publishes no data, so `Relaxed`; it is bumped
+    /// under the write lock, so whoever `get`s generation k then reads
+    /// a count of at least k.
+    publishes: AtomicU64,
+}
+
+impl Current {
+    /// A cell whose first generation is `initial`.
+    pub fn new(initial: Generation) -> Current {
+        Current {
+            gen: RwLock::new(Arc::new(initial)),
+            publishes: AtomicU64::new(0),
+        }
+    }
+
+    /// The current generation. Poison is recovered: the guarded value
+    /// is one pointer, whole after any panic.
+    pub fn get(&self) -> Arc<Generation> {
+        Arc::clone(&self.gen.read().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// Publishes `next`. The old generation is released after the write
+    /// lock, so a large drop never holds up readers.
+    pub fn set(&self, next: Generation) {
+        let next = Arc::new(next);
+        let old = {
+            let mut gen = self.gen.write().unwrap_or_else(PoisonError::into_inner);
+            self.publishes.fetch_add(1, Ordering::Relaxed);
+            std::mem::replace(&mut *gen, next)
+        };
+        drop(old);
+    }
+
+    /// Number of publishes so far (0 = still on the initial value).
+    pub fn publish_count(&self) -> u64 {
+        self.publishes.load(Ordering::Relaxed)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,5 +184,59 @@ mod tests {
             assert_eq!(fg.vertex_count(), offline.vertex_count());
             assert_eq!(fg.edge_count(), offline.edge_count());
         }
+    }
+
+    #[test]
+    fn get_sees_published_value() {
+        let current = Current::new(Generation::build(0, Vec::new()).unwrap());
+        assert_eq!(current.publish_count(), 0);
+        current.set(Generation::build(1, sample_txns(50)).unwrap());
+        assert_eq!(current.get().id, 1);
+        assert_eq!(current.get().txns.len(), 50);
+        assert_eq!(current.publish_count(), 1);
+    }
+
+    #[test]
+    fn old_generation_survives_while_held() {
+        let current = Current::new(Generation::build(0, Vec::new()).unwrap());
+        let held = current.get();
+        current.set(Generation::build(1, sample_txns(50)).unwrap());
+        current.set(Generation::build(2, sample_txns(60)).unwrap());
+        assert_eq!(current.get().id, 2);
+        assert_eq!(current.get().txns.len(), 60);
+        assert_eq!(current.publish_count(), 2);
+        // The caller's Arc keeps generation 0 alive after two swaps.
+        assert_eq!(held.id, 0);
+        assert!(held.txns.is_empty());
+    }
+
+    #[test]
+    fn concurrent_gets_observe_publishes_in_order() {
+        const PUBLISHES: u64 = 2_000;
+        let current = Current::new(Generation::build(0, Vec::new()).unwrap());
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    let mut last = 0;
+                    loop {
+                        let id = current.get().id;
+                        assert!(id >= last, "went backwards: {id} < {last}");
+                        // The count is bumped with the swap, under the
+                        // lock, so it never trails a visible generation.
+                        assert!(current.publish_count() >= id);
+                        last = id;
+                        if id == PUBLISHES {
+                            return;
+                        }
+                    }
+                });
+            }
+            s.spawn(|| {
+                for id in 1..=PUBLISHES {
+                    current.set(Generation::build(id, Vec::new()).unwrap());
+                }
+            });
+        });
+        assert_eq!(current.publish_count(), PUBLISHES);
     }
 }

@@ -5,14 +5,13 @@
 //! service under continuous traffic. This crate is that serving layer,
 //! std-only like the rest of the workspace:
 //!
-//! - [`epoch`] — the hand-rolled arc-swap: a single writer publishes
-//!   immutable [`generation::Generation`] snapshots through a
-//!   hazard-pointer cell; readers pin the current one with a few atomic
-//!   operations and zero locks.
-//! - [`generation`] — the snapshot itself: live transactions plus the
-//!   frozen CSR of the deduplicated OD graph per edge labeling, built by
-//!   the *same* code path as `tnet mine` / `tnet stats` so online
-//!   replies are byte-identical to offline runs on the same data.
+//! - [`generation`] — the snapshot: live transactions plus the frozen
+//!   CSR of the deduplicated OD graph per edge labeling, built by the
+//!   *same* code path as `tnet mine` / `tnet stats` so online replies
+//!   are byte-identical to offline runs on the same data. The single
+//!   writer publishes each one through [`generation::Current`], an
+//!   `RwLock<Arc<Generation>>` held only for a pointer clone or swap;
+//!   every query answers from the `Arc` it took.
 //! - [`writer`] — the single mutator: batched appends and tombstone
 //!   deletes into the transaction log, periodic (or forced) publishes,
 //!   and graceful degradation when a publish fails (the `serve::publish`
@@ -28,8 +27,9 @@
 //!   turnover rather than by any explicit walk.
 //! - [`proto`] — the newline-delimited JSON wire protocol and its typed
 //!   [`tnet_core::error::PipelineError`] error replies.
-//! - [`query`] / [`server`] — request execution against a pinned
-//!   generation, and the accept/connection/shutdown machinery.
+//! - [`query`] / [`server`] — request execution against one
+//!   generation, and the accept/connection/shutdown machinery, which
+//!   serves at most [`server::MAX_CONNECTIONS`] clients at once.
 //!
 //! Architecture, wire schema, and cache policy: DESIGN.md §12. Client
 //! example: README "Serving".
@@ -37,7 +37,6 @@
 pub mod cache;
 pub mod crc;
 pub mod durability;
-pub mod epoch;
 pub mod generation;
 pub mod proto;
 pub mod query;
@@ -48,10 +47,9 @@ pub mod writer;
 
 pub use cache::ResultCache;
 pub use durability::{recover, Durability, DurabilityConfig, Recovered};
-pub use epoch::{EpochCell, EpochReader};
-pub use generation::Generation;
+pub use generation::{Current, Generation};
 pub use proto::Request;
-pub use server::{start, ServeConfig, ServerHandle};
+pub use server::{start, ServeConfig, ServerHandle, MAX_CONNECTIONS};
 pub use wal::FsyncPolicy;
 pub use writer::{IngestOp, WriterConfig};
 

@@ -3,13 +3,13 @@
 //! Thread model (see DESIGN.md §12):
 //!
 //! - **accept thread** — non-blocking accept loop; spawns one thread
-//!   per connection and joins them all when shutdown begins (drain).
-//! - **connection threads** — each owns a registered [`EpochReader`]
-//!   and a private [`Exec`]; reads newline-delimited JSON requests,
-//!   answers queries against the generation it pins *per request*, and
-//!   forwards mutations to the writer channel. No locks anywhere on
-//!   this path: pinning is the hazard-pointer protocol and the result
-//!   cache degrades contention to a miss.
+//!   per connection, up to [`MAX_CONNECTIONS`] at once, and refuses the
+//!   next with a retryable `overloaded` reply. It joins every
+//!   connection thread when shutdown begins (drain).
+//! - **connection threads** — each owns a private [`Exec`]; reads
+//!   newline-delimited JSON requests, answers each query against the
+//!   generation [`Current::get`] hands it, and forwards mutations to
+//!   the writer channel.
 //! - **writer thread** — the only mutator; see [`crate::writer`].
 //!
 //! Shutdown (stdin EOF, a `shutdown` request, or SIGTERM turned into
@@ -20,8 +20,7 @@
 
 use crate::cache::ResultCache;
 use crate::durability::{self, Durability, DurabilityConfig};
-use crate::epoch::EpochCell;
-use crate::generation::Generation;
+use crate::generation::{Current, Generation};
 use crate::proto::{self, Request, MAX_LINE_BYTES};
 use crate::query;
 use crate::wal::WalOp;
@@ -74,9 +73,18 @@ impl Default for ServeConfig {
     }
 }
 
+/// Connections served at once. The accept thread refuses the next one
+/// with a typed, retryable `overloaded` reply and spawns no thread for
+/// it, so a flood of clients cannot grow the daemon's thread count.
+pub const MAX_CONNECTIONS: usize = 128;
+
+/// How long a connection blocks in one socket read or write before it
+/// checks for shutdown; also the bound on writing a refusal.
+const SOCKET_POLL: Duration = Duration::from_millis(100);
+
 /// State shared by every connection thread.
 struct Shared {
-    cell: Arc<EpochCell<Generation>>,
+    current: Arc<Current>,
     cache: ResultCache,
     registry: MetricsRegistry,
     latency: LatencyHistogram,
@@ -151,7 +159,7 @@ pub fn start(cfg: ServeConfig) -> Result<ServerHandle, PipelineError> {
         let _t = span.time("serve.genesis");
         Generation::build(0, initial.clone())?
     };
-    let cell = EpochCell::new(Arc::new(genesis));
+    let current = Arc::new(Current::new(genesis));
 
     let listener = TcpListener::bind(&cfg.addr)
         .map_err(|e| PipelineError::Io(format!("cannot bind {}: {e}", cfg.addr)))?;
@@ -164,7 +172,7 @@ pub fn start(cfg: ServeConfig) -> Result<ServerHandle, PipelineError> {
 
     let (ingest_tx, ingest_rx) = mpsc::channel::<IngestOp>();
     let writer = Writer::new(
-        Arc::clone(&cell),
+        Arc::clone(&current),
         initial,
         1,
         durable,
@@ -178,7 +186,7 @@ pub fn start(cfg: ServeConfig) -> Result<ServerHandle, PipelineError> {
         .map_err(|e| PipelineError::Io(e.to_string()))?;
 
     let shared = Arc::new(Shared {
-        cell,
+        current,
         cache: ResultCache::new(cfg.cache_capacity),
         registry: registry.clone(),
         latency: LatencyHistogram::new(),
@@ -277,18 +285,22 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, ingest: Sender<Ingest
         match listener.accept() {
             Ok((stream, _peer)) => {
                 shared.registry.add("serve.connections", 1);
-                let conn_shared = Arc::clone(&shared);
-                let conn_ingest = ingest.clone();
-                match std::thread::Builder::new()
-                    .name("tnet-serve-conn".into())
-                    .spawn(move || handle_connection(stream, conn_shared, conn_ingest))
-                {
-                    Ok(h) => conns.push(h),
-                    Err(_) => shared.registry.add("serve.spawn_failures", 1),
-                }
-                // Reap finished threads opportunistically so a
-                // long-lived daemon doesn't accumulate handles.
+                // Reap finished threads first, so the cap counts only
+                // connections still being served.
                 conns.retain(|h| !h.is_finished());
+                if conns.len() >= MAX_CONNECTIONS {
+                    refuse(stream, &shared);
+                } else {
+                    let conn_shared = Arc::clone(&shared);
+                    let conn_ingest = ingest.clone();
+                    match std::thread::Builder::new()
+                        .name("tnet-serve-conn".into())
+                        .spawn(move || handle_connection(stream, conn_shared, conn_ingest))
+                    {
+                        Ok(h) => conns.push(h),
+                        Err(_) => shared.registry.add("serve.spawn_failures", 1),
+                    }
+                }
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 if shared
@@ -315,6 +327,22 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, ingest: Sender<Ingest
     }
     for h in conns {
         let _ = h.join();
+    }
+}
+
+/// Turns away a connection over [`MAX_CONNECTIONS`]: one `overloaded`
+/// reply, which clients treat as "back off and retry", then close. One
+/// write attempt under [`SOCKET_POLL`], so a peer that never reads
+/// cannot hold up the accept thread.
+fn refuse(mut stream: TcpStream, shared: &Shared) {
+    shared.registry.add("serve.connections_rejected", 1);
+    let err = PipelineError::Overloaded {
+        message: format!("all {MAX_CONNECTIONS} connections are in use; back off and retry"),
+    };
+    let mut line = proto::error_reply(&err);
+    line.push('\n');
+    if stream.set_write_timeout(Some(SOCKET_POLL)).is_ok() {
+        let _ = stream.write_all(line.as_bytes());
     }
 }
 
@@ -416,27 +444,12 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>, ingest: Sender<Inge
         Ok(s) => s,
         Err(_) => return,
     };
-    let poll = Some(Duration::from_millis(100));
+    let poll = Some(SOCKET_POLL);
     if stream.set_read_timeout(poll).is_err() || out.set_write_timeout(poll).is_err() {
         return;
     }
     // Replies are single small segments; never hold them for Nagle.
     let _ = stream.set_nodelay(true);
-    let Some(reader) = shared.cell.register() else {
-        // All hazard slots busy: refuse with a typed *retryable* error
-        // instead of serving a connection that could never pin a
-        // generation. Clients see kind "overloaded" and back off.
-        shared.registry.add("serve.readers_rejected", 1);
-        shared.registry.add("serve.connections_rejected", 1);
-        let err = PipelineError::Overloaded {
-            message: format!(
-                "all {} reader slots are pinned; back off and retry",
-                crate::epoch::MAX_READERS
-            ),
-        };
-        let _ = write_reply(&mut out, &proto::error_reply(&err), &shared);
-        return;
-    };
     let exec = Exec::new(shared.threads);
     let mut buf_reader = BufReader::new(stream);
 
@@ -469,7 +482,7 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>, ingest: Sender<Inge
             }
         };
         let close_after = request == Request::Shutdown;
-        let reply = dispatch(&request, &shared, &reader, &ingest, &exec);
+        let reply = dispatch(&request, &shared, &ingest, &exec);
         if !write_reply(&mut out, &reply, &shared) || close_after {
             return;
         }
@@ -477,16 +490,10 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>, ingest: Sender<Inge
 }
 
 /// Executes one request and serializes its reply.
-fn dispatch(
-    request: &Request,
-    shared: &Shared,
-    reader: &crate::epoch::EpochReader<Generation>,
-    ingest: &Sender<IngestOp>,
-    exec: &Exec,
-) -> String {
+fn dispatch(request: &Request, shared: &Shared, ingest: &Sender<IngestOp>, exec: &Exec) -> String {
     match request {
         Request::Ping => {
-            let gen = reader.pin();
+            let gen = shared.current.get();
             format!("{{\"ok\":true,\"op\":\"ping\",\"generation\":{}}}", gen.id)
         }
         Request::Shutdown => {
@@ -517,7 +524,7 @@ fn dispatch(
         // The cacheable generation queries.
         Request::Stats | Request::Support { .. } | Request::Pattern { .. } => {
             let started = Instant::now();
-            let gen = reader.pin();
+            let gen = shared.current.get();
             let canonical = request.canonical();
             let key = canonical.map(|q| (gen.id, q));
             if let Some(key) = &key {
@@ -541,8 +548,9 @@ fn dispatch(
                 }
             };
             // How many publishes landed while this query ran against
-            // its pinned snapshot — the staleness readers tolerate.
-            let lag = shared.cell.publish_count().saturating_sub(gen.id);
+            // its snapshot — the staleness readers tolerate. Read off
+            // the counter: a second `get` would clone the Arc again.
+            let lag = shared.current.publish_count().saturating_sub(gen.id);
             shared.registry.record_max("serve.pinned_lag_max", lag);
             shared.latency.record(started.elapsed().as_nanos() as u64);
             finalize(request, reply, shared)
@@ -598,7 +606,10 @@ fn trace_reply(shared: &Shared) -> String {
     metrics.insert("serve.cache_hits".into(), shared.cache.hits());
     metrics.insert("serve.cache_misses".into(), shared.cache.misses());
     metrics.insert("serve.cache_evictions".into(), shared.cache.evictions());
-    metrics.insert("serve.publishes_seen".into(), shared.cell.publish_count());
+    metrics.insert(
+        "serve.publishes_seen".into(),
+        shared.current.publish_count(),
+    );
     shared
         .latency
         .snapshot()

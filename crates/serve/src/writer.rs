@@ -8,8 +8,8 @@
 //! in-memory log and acknowledges the waiting connection — so an
 //! `"accepted"` reply is a durability promise, not a hope. On a timer,
 //! on a batch threshold, or on demand it materializes the live set into
-//! a new [`Generation`] and publishes it through the [`EpochCell`]. A
-//! failed build (injected via the `serve::publish` failpoint or a real
+//! a new [`Generation`] and publishes it through the [`Current`] cell.
+//! A failed build (injected via the `serve::publish` failpoint or a real
 //! bin-fit rejection) is *not* fatal: the cell keeps the previous
 //! generation, a counter records the failure, and the writer retries on
 //! the next trigger — the daemon degrades to serving stale data rather
@@ -17,8 +17,7 @@
 //! nothing: what cannot be made durable never becomes publishable.
 
 use crate::durability::Durability;
-use crate::epoch::EpochCell;
-use crate::generation::Generation;
+use crate::generation::{Current, Generation};
 use crate::wal::WalOp;
 use std::collections::HashSet;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -76,7 +75,7 @@ pub struct Writer {
     /// Records applied since the last successful publish.
     pending: usize,
     next_id: u64,
-    cell: Arc<EpochCell<Generation>>,
+    current: Arc<Current>,
     durability: Option<Durability>,
     registry: MetricsRegistry,
     span: Span,
@@ -89,7 +88,7 @@ impl Writer {
     /// server either recovered them from disk or appended them before
     /// construction).
     pub fn new(
-        cell: Arc<EpochCell<Generation>>,
+        current: Arc<Current>,
         log: Vec<Transaction>,
         next_id: u64,
         durability: Option<Durability>,
@@ -101,7 +100,7 @@ impl Writer {
             deleted: HashSet::new(),
             pending: 0,
             next_id,
-            cell,
+            current,
             durability,
             registry,
             span,
@@ -211,7 +210,7 @@ impl Writer {
             });
         match built {
             Ok(gen) => {
-                self.cell.publish(Arc::new(gen));
+                self.current.set(gen);
                 self.next_id += 1;
                 self.pending = 0;
                 self.registry.add("serve.generations_published", 1);
@@ -297,18 +296,22 @@ mod tests {
         }
     }
 
-    fn writer() -> (Writer, Arc<EpochCell<Generation>>, MetricsRegistry) {
-        let cell = EpochCell::new(Arc::new(Generation::build(0, Vec::new()).unwrap()));
+    fn genesis() -> Arc<Current> {
+        Arc::new(Current::new(Generation::build(0, Vec::new()).unwrap()))
+    }
+
+    fn writer() -> (Writer, Arc<Current>, MetricsRegistry) {
+        let current = genesis();
         let registry = MetricsRegistry::new();
         let w = Writer::new(
-            Arc::clone(&cell),
+            Arc::clone(&current),
             Vec::new(),
             1,
             None,
             registry.clone(),
             Span::disabled(),
         );
-        (w, cell, registry)
+        (w, current, registry)
     }
 
     fn tmp_dir(name: &str) -> PathBuf {
@@ -321,8 +324,8 @@ mod tests {
     fn durable_writer(
         dir: &std::path::Path,
         snapshot_every: u64,
-    ) -> (Writer, Arc<EpochCell<Generation>>, MetricsRegistry) {
-        let cell = EpochCell::new(Arc::new(Generation::build(0, Vec::new()).unwrap()));
+    ) -> (Writer, Arc<Current>, MetricsRegistry) {
+        let current = genesis();
         let registry = MetricsRegistry::new();
         let d = Durability::open(
             &DurabilityConfig {
@@ -336,28 +339,27 @@ mod tests {
         )
         .unwrap();
         let w = Writer::new(
-            Arc::clone(&cell),
+            Arc::clone(&current),
             Vec::new(),
             1,
             Some(d),
             registry.clone(),
             Span::disabled(),
         );
-        (w, cell, registry)
+        (w, current, registry)
     }
 
     #[test]
     fn appends_and_deletes_shape_the_published_set() {
         let _g = crate::failpoint_test_guard();
-        let (mut w, cell, _) = writer();
-        let reader = cell.register().unwrap();
+        let (mut w, current, _) = writer();
         w.apply(IngestOp::Append(
             (1..=10).map(|i| txn(i, 1000.0 * i as f64)).collect(),
             None,
         ));
         w.apply(IngestOp::Delete(vec![3, 7, 99], None));
         assert!(w.publish());
-        let gen = reader.pin();
+        let gen = current.get();
         assert_eq!(gen.id, 1);
         assert_eq!(gen.txns.len(), 8, "10 appended minus 2 live deletes");
         assert!(gen.txns.iter().all(|t| t.id != 3 && t.id != 7));
@@ -366,11 +368,10 @@ mod tests {
     #[test]
     fn failed_publish_keeps_previous_generation_and_retries() {
         let _g = crate::failpoint_test_guard();
-        let (mut w, cell, registry) = writer();
-        let reader = cell.register().unwrap();
+        let (mut w, current, registry) = writer();
         w.apply(IngestOp::Append(vec![txn(1, 1000.0), txn(2, 2000.0)], None));
         assert!(w.publish());
-        assert_eq!(reader.pin().id, 1);
+        assert_eq!(current.get().id, 1);
 
         w.apply(IngestOp::Append(vec![txn(3, 3000.0)], None));
         failpoint::arm("serve::publish=err").unwrap();
@@ -378,13 +379,13 @@ mod tests {
         failpoint::disarm();
 
         // Still serving generation 1, failure counted, data not lost.
-        assert_eq!(reader.pin().id, 1);
-        assert_eq!(reader.pin().txns.len(), 2);
+        assert_eq!(current.get().id, 1);
+        assert_eq!(current.get().txns.len(), 2);
         assert_eq!(registry.get("serve.publish_failures"), 1);
         assert_eq!(w.pending(), 1, "pending records survive the failure");
 
         assert!(w.publish(), "retry succeeds once the fault clears");
-        let gen = reader.pin();
+        let gen = current.get();
         assert_eq!(gen.id, 2);
         assert_eq!(gen.txns.len(), 3);
     }
@@ -392,8 +393,7 @@ mod tests {
     #[test]
     fn run_flushes_on_disconnect() {
         let _g = crate::failpoint_test_guard();
-        let (w, cell, registry) = writer();
-        let reader = cell.register().unwrap();
+        let (w, current, registry) = writer();
         let (tx, rx) = std::sync::mpsc::channel();
         let h = std::thread::spawn(move || {
             w.run(
@@ -408,15 +408,14 @@ mod tests {
             .unwrap();
         drop(tx);
         h.join().unwrap();
-        assert_eq!(reader.pin().txns.len(), 2, "final flush published the log");
+        assert_eq!(current.get().txns.len(), 2, "final flush published the log");
         assert_eq!(registry.get("serve.generations_published"), 1);
     }
 
     #[test]
     fn flush_op_forces_an_immediate_publish() {
         let _g = crate::failpoint_test_guard();
-        let (w, cell, _) = writer();
-        let reader = cell.register().unwrap();
+        let (w, current, _) = writer();
         let (tx, rx) = std::sync::mpsc::channel();
         let h = std::thread::spawn(move || {
             w.run(
@@ -431,10 +430,10 @@ mod tests {
             .unwrap();
         tx.send(IngestOp::Flush).unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
-        while reader.publish_count() == 0 && Instant::now() < deadline {
+        while current.publish_count() == 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert_eq!(reader.pin().id, 1, "flush published without timer/batch");
+        assert_eq!(current.get().id, 1, "flush published without timer/batch");
         drop(tx);
         h.join().unwrap();
     }
@@ -443,7 +442,7 @@ mod tests {
     fn acked_batches_survive_a_writer_drop() {
         let _g = crate::failpoint_test_guard();
         let dir = tmp_dir("ack_survives");
-        let (mut w, _cell, _reg) = durable_writer(&dir, 0);
+        let (mut w, _current, _reg) = durable_writer(&dir, 0);
         let (ack_tx, ack_rx) = std::sync::mpsc::channel();
         w.apply(IngestOp::Append(
             vec![txn(1, 1000.0), txn(2, 2000.0)],
@@ -467,8 +466,7 @@ mod tests {
     fn wal_failure_nacks_and_applies_nothing() {
         let _g = crate::failpoint_test_guard();
         let dir = tmp_dir("nack");
-        let (mut w, cell, registry) = durable_writer(&dir, 0);
-        let reader = cell.register().unwrap();
+        let (mut w, current, registry) = durable_writer(&dir, 0);
         failpoint::arm("serve::wal_append=err").unwrap();
         let (ack_tx, ack_rx) = std::sync::mpsc::channel();
         w.apply(IngestOp::Append(vec![txn(1, 1000.0)], Some(ack_tx)));
@@ -481,7 +479,7 @@ mod tests {
         // Nothing publishable came out of the refused batch.
         w.apply(IngestOp::Append(vec![txn(2, 2000.0), txn(3, 3000.0)], None));
         assert!(w.publish());
-        let gen = reader.pin();
+        let gen = current.get();
         assert_eq!(gen.txns.len(), 2);
         assert!(gen.txns.iter().all(|t| t.id != 1), "refused batch absent");
         // And nothing durable either.
@@ -494,7 +492,7 @@ mod tests {
     fn checkpoint_cadence_compacts_log_and_truncates_wal() {
         let _g = crate::failpoint_test_guard();
         let dir = tmp_dir("cadence");
-        let (mut w, _cell, registry) = durable_writer(&dir, 3);
+        let (mut w, _current, registry) = durable_writer(&dir, 3);
         w.apply(IngestOp::Append(vec![txn(1, 1000.0), txn(2, 2000.0)], None));
         assert_eq!(registry.get("snapshot.writes"), 0, "two records: not yet");
         // The delete is the third acknowledged record (cadence counts

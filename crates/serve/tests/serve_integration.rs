@@ -10,7 +10,6 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tnet_data::binning::BinScheme;
 use tnet_data::model::Transaction;
@@ -19,7 +18,9 @@ use tnet_exec::Exec;
 use tnet_graph::traverse::count_label_walks;
 use tnet_obs::json::decode_trace;
 use tnet_serve::proto::{json_string, parse_json, parse_request, JVal};
-use tnet_serve::{query, EpochCell, Generation, ServeConfig, ServerHandle, WriterConfig};
+use tnet_serve::{
+    query, Current, Generation, ServeConfig, ServerHandle, WriterConfig, MAX_CONNECTIONS,
+};
 
 fn txns(scale: f64, seed: u64) -> Vec<Transaction> {
     let cfg = tnet_data::synth::SynthConfig::scaled(scale).with_seed(seed);
@@ -121,17 +122,15 @@ fn wait_for_generation(client: &mut Client, want: u64) -> u64 {
     }
 }
 
-/// A reader pinned to generation G keeps getting byte-identical replies
-/// while (and after) G+1 publishes — the epoch cell's core contract,
-/// exercised through the same query path the daemon serves.
+/// A reader holding generation G keeps getting byte-identical replies
+/// while (and after) G+1 publishes — the `Current` cell's core
+/// contract, exercised through the same query path the daemon serves.
 #[test]
 fn pinned_generation_stays_byte_identical_while_next_publishes() {
     let mut data = txns(0.01, 7);
     data.truncate(300);
-    let gen1 = Arc::new(Generation::build(1, data.clone()).unwrap());
-    let cell = EpochCell::new(gen1);
-    let reader = cell.register().unwrap();
-    let pinned = reader.pin();
+    let current = Current::new(Generation::build(1, data.clone()).unwrap());
+    let pinned = current.get();
 
     let exec = Exec::sequential();
     let requests = [
@@ -156,14 +155,14 @@ fn pinned_generation_stays_byte_identical_while_next_publishes() {
                 t
             }),
     );
-    cell.publish(Arc::new(Generation::build(2, grown).unwrap()));
+    current.set(Generation::build(2, grown).unwrap());
 
     for (line, want) in requests.iter().zip(&before) {
         let got = query::execute(&pinned, &parse_request(line).unwrap(), &exec).unwrap();
         assert_eq!(&got, want, "pinned reply changed after publish: {line}");
     }
-    // A fresh pin observes the new generation; the old Arc stays valid.
-    assert_eq!(reader.pin().id, 2);
+    // A fresh get observes the new generation; the old Arc stays valid.
+    assert_eq!(current.get().id, 2);
     assert_eq!(pinned.id, 1);
 }
 
@@ -331,6 +330,12 @@ fn replies_identical_across_reader_thread_counts_under_ingest() {
         handle.shutdown();
         handle.wait();
         handle.join().unwrap();
+        // A well-formed workload errs on no query, and the drain
+        // publishes the 40 records ingested under the read load.
+        let registry = handle.registry();
+        assert_eq!(registry.get("serve.query_errors"), 0, "{threads} threads");
+        assert_eq!(registry.get("serve.records_ingested"), 40);
+        assert_eq!(registry.get("serve.generations_published"), 1);
     }
     assert_eq!(per_thread_count[0], per_thread_count[1], "1 vs 2 threads");
     assert_eq!(per_thread_count[0], per_thread_count[2], "1 vs 8 threads");
@@ -579,33 +584,35 @@ fn parse_ingest_record(
     }
 }
 
-/// When every hazard slot is pinned, the next connection gets a typed,
-/// *retryable* `overloaded` error (not a protocol error), the rejection
-/// counters tick, and the `stats` op exposes the count.
+/// With [`MAX_CONNECTIONS`] clients connected, the next connection gets
+/// a typed, *retryable* `overloaded` error (not a protocol error) from
+/// the accept thread, the rejection counter ticks, and the `stats` op
+/// exposes the count.
 #[test]
-fn reader_slot_exhaustion_replies_typed_retryable_overload() {
+fn connection_cap_replies_typed_retryable_overload() {
     let mut handle = tnet_serve::start(quiescent_config(txns(0.005, 7))).unwrap();
 
-    // Saturate all 128 hazard slots with idle-but-registered
-    // connections; the ping reply proves each slot is held.
+    // Fill the cap with idle connections; the ping reply proves each
+    // one is being served.
     let mut herd: Vec<Client> = Vec::new();
-    for i in 0..128 {
+    for i in 0..MAX_CONNECTIONS {
         let mut c = Client::connect(&handle);
         let reply = c.send(r#"{"op":"ping"}"#);
         assert!(reply.contains("\"ok\":true"), "conn {i}: {reply}");
         herd.push(c);
     }
 
-    // Slot 129: refused with kind=overloaded (the retryable taxonomy
-    // branch), then the server closes the connection.
+    // Connection 129: refused with kind=overloaded (the retryable
+    // taxonomy branch), then the server closes the connection.
     let mut rejected = Client::connect(&handle);
     let reply = rejected.recv();
     assert!(reply.contains("\"ok\":false"), "{reply}");
     assert!(reply.contains("\"kind\":\"overloaded\""), "{reply}");
     assert!(reply.contains("retry"), "{reply}");
+    assert_eq!(handle.registry().get("serve.connections_rejected"), 1);
 
-    // Free one slot, wait for the server thread to notice the hangup,
-    // and verify the counters through trace + stats.
+    // Free one connection, wait for the server thread to notice the
+    // hangup, and verify the counters through trace + stats.
     drop(herd.pop());
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut c = loop {
@@ -616,14 +623,15 @@ fn reader_slot_exhaustion_replies_typed_retryable_overload() {
         }
         assert!(
             Instant::now() < deadline,
-            "slot never freed after client hangup: {reply}"
+            "cap never freed after client hangup: {reply}"
         );
         std::thread::sleep(Duration::from_millis(20));
     };
     // At least one rejection (the guaranteed overflow connection); the
-    // retry loop above may have been rejected a few more times before a
-    // hazard slot was reclaimed, so this is a floor, not an exact count.
-    assert!(metric(&mut c, "serve.readers_rejected") >= 1);
+    // retry loop above may have been refused a few more times before
+    // the accept thread reaped the hung-up connection, so this is a
+    // floor, not an exact count.
+    assert!(metric(&mut c, "serve.connections_rejected") >= 1);
     let stats = c.send(r#"{"op":"stats"}"#);
     assert!(
         field_u64(&stats, "connections_rejected") >= 1,
@@ -640,7 +648,7 @@ fn reader_slot_exhaustion_replies_typed_retryable_overload() {
 /// A client that pipelines requests and never reads its replies fills
 /// the loopback socket buffers, so the daemon's reply write cannot
 /// complete. Once shutdown begins, that connection must give up instead
-/// of holding its hazard slot and the drain's `join` forever.
+/// of holding its connection thread and the drain's `join` forever.
 #[test]
 fn shutdown_is_not_held_by_a_client_that_never_reads() {
     let mut handle = tnet_serve::start(quiescent_config(txns(0.005, 7))).unwrap();
