@@ -13,8 +13,6 @@
 //! - `--seed N`       synthetic-dataset seed (default 42)
 //! - `--validate PATH` parse an existing report, check both miners and
 //!   the embedded trace block are present, and exit — no benching
-//! - `--validate-trace PATH` parse a standalone `tnet-trace/v1` document
-//!   (the CLI's `--trace-json` output) and exit — no benching
 //!
 //! Every FSG workload is run twice: with embedding propagation (the
 //! default cap) and with `embedding_cap = 0` (scratch VF2, the
@@ -79,7 +77,6 @@ struct Opts {
     out: String,
     seed: u64,
     validate: Option<String>,
-    validate_trace: Option<String>,
 }
 
 fn parse_opts() -> Result<Opts, String> {
@@ -88,7 +85,6 @@ fn parse_opts() -> Result<Opts, String> {
         out: "BENCH_miners.json".to_string(),
         seed: 42,
         validate: None,
-        validate_trace: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -103,9 +99,6 @@ fn parse_opts() -> Result<Opts, String> {
                     .map_err(|e| format!("bad --seed: {e}"))?
             }
             "--validate" => opts.validate = Some(args.next().ok_or("--validate needs a path")?),
-            "--validate-trace" => {
-                opts.validate_trace = Some(args.next().ok_or("--validate-trace needs a path")?)
-            }
             // Cargo's bench runner appends `--bench`; tolerate it.
             "--bench" => {}
             other => return Err(format!("unknown flag '{other}'")),
@@ -618,13 +611,6 @@ fn validate(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn validate_trace_file(path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    json::decode_trace(&text)?;
-    println!("{path}: valid {} document", json::TRACE_SCHEMA);
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let opts = match parse_opts() {
         Ok(o) => o,
@@ -635,15 +621,6 @@ fn main() -> ExitCode {
     };
     if let Some(path) = &opts.validate {
         return match validate(path) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("bench_miners: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if let Some(path) = &opts.validate_trace {
-        return match validate_trace_file(path) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("bench_miners: {e}");

@@ -61,9 +61,15 @@ pub fn run(args: &Args) -> Result<(), CliError> {
         return Err(ArgError("--radius must be at least 1".into()).into());
     }
     let partitions: usize = args.get_parsed_or("partitions", 16)?;
+    if partitions == 0 {
+        return Err(ArgError("--partitions must be at least 1".into()).into());
+    }
     let support: usize = args.get_parsed_or("support", 5)?;
     let max_edges: usize = args.get_parsed_or("max-edges", 5)?;
     let reps: usize = args.get_parsed_or("reps", 2)?;
+    if reps == 0 {
+        return Err(ArgError("--reps must be at least 1".into()).into());
+    }
     let top: usize = args.get_parsed_or("top", 15)?;
     let maximal = args.get_or("maximal", "false") == "true";
     let verbose = args.get_or("verbose", "false") == "true";

@@ -109,6 +109,12 @@ fn unparseable_value_is_usage_error() {
         ("--scale", ["gen", "--out", "unused.csv", "--scale", "nan"]),
         ("--scale", ["report", "--threads", "1", "--scale", "nan"]),
         ("--scale", ["report", "--threads", "1", "--scale", "2"]),
+        // Algorithm 1 needs at least one partition and one repetition.
+        (
+            "--partitions",
+            ["mine", "--scale", "0.005", "--partitions", "0"],
+        ),
+        ("--reps", ["mine", "--scale", "0.005", "--reps", "0"]),
     ] {
         let out = tnet().args(args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}");

@@ -212,7 +212,7 @@ pub fn nearest_market(p: LatLon) -> (&'static Market, f64) {
 }
 
 /// Human-readable name for a coordinate: the market name when within
-/// `radius_miles`, otherwise "near <market>" or the raw coordinates for
+/// `radius_miles`, otherwise "near `<market>`" or the raw coordinates for
 /// truly remote points.
 pub fn describe(p: LatLon) -> String {
     let (market, d) = nearest_market(p);

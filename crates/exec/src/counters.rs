@@ -55,7 +55,7 @@ pub struct CountersSnapshot {
 }
 
 impl CountersSnapshot {
-    /// Folds this snapshot into a [`MetricsRegistry`] under `exec.*`
+    /// Folds this snapshot into a [`tnet_obs::MetricsRegistry`] under `exec.*`
     /// names — the pool's slice of the unified counter namespace.
     pub fn record_into(&self, metrics: &tnet_obs::MetricsRegistry) {
         metrics.add("exec.tasks", self.tasks);

@@ -11,7 +11,8 @@
 //! "TID".
 //!
 //! This module therefore owns only the transactions. The [`NbhdIndex`]
-//! holds per-center sorted id lists over one shared [`FrozenGraph`] CSR —
+//! holds per-center sorted id lists over one shared frozen CSR view
+//! ([`TxnRef`], a [`tnet_graph::FrozenGraph`]'s only reader) —
 //! no partitioning and no per-neighborhood graph copies. A [`NbhdView`]
 //! adapts one center's `(members, edges)` pair to [`GraphView`] by
 //! filtering the frozen label-sorted adjacency through a membership
@@ -29,7 +30,7 @@ use crate::miner::mine_source;
 use crate::types::{FsgConfig, FsgError, Support};
 use tnet_exec::failpoint::Fault;
 use tnet_exec::Exec;
-use tnet_graph::frozen::FrozenGraph;
+use tnet_graph::frozen::TxnRef;
 use tnet_graph::graph::{ELabel, EdgeId, Graph, VLabel, VertexId};
 use tnet_graph::hash::FxHashSet;
 use tnet_graph::view::{GraphView, TxnSource};
@@ -189,7 +190,7 @@ impl std::fmt::Display for NbhdError {
 
 impl std::error::Error for NbhdError {}
 
-/// Per-center neighborhood index over one shared [`FrozenGraph`]: two
+/// Per-center neighborhood index over one shared frozen view: two
 /// flat id buffers with offsets (structure of arrays). Members and edge
 /// ids per center are sorted ascending, which is what lets [`NbhdView`]
 /// answer membership with a binary search and keep the [`GraphView`]
@@ -208,8 +209,8 @@ impl NbhdIndex {
     /// *induced* definition — what makes delegating edge-existence
     /// queries to the shared CSR sound). Centers fan out over `exec` and
     /// are concatenated in ascending-center order.
-    pub fn build(fg: &FrozenGraph, radius: usize, exec: &Exec) -> NbhdIndex {
-        let centers: Vec<u32> = (0..GraphView::vertex_count(fg) as u32).collect();
+    pub fn build(fg: TxnRef<'_>, radius: usize, exec: &Exec) -> NbhdIndex {
+        let centers: Vec<u32> = (0..fg.vertex_count() as u32).collect();
         let per_center: Vec<(Vec<VertexId>, Vec<EdgeId>)> =
             exec.par_map(&centers, |&c| build_one(fg, VertexId(c), radius));
         let mut index = NbhdIndex {
@@ -245,7 +246,7 @@ impl NbhdIndex {
     }
 
     /// Read view of center `c`'s neighborhood.
-    pub fn view<'a>(&'a self, fg: &'a FrozenGraph, c: usize) -> NbhdView<'a> {
+    pub fn view<'a>(&'a self, fg: TxnRef<'a>, c: usize) -> NbhdView<'a> {
         NbhdView {
             fg,
             members: &self.members[self.member_off[c] as usize..self.member_off[c + 1] as usize],
@@ -256,7 +257,7 @@ impl NbhdIndex {
 
 /// One center's induced r-hop neighborhood: sorted members, and every
 /// frozen edge with both endpoints among them (ascending).
-fn build_one(fg: &FrozenGraph, center: VertexId, radius: usize) -> (Vec<VertexId>, Vec<EdgeId>) {
+fn build_one(fg: TxnRef<'_>, center: VertexId, radius: usize) -> (Vec<VertexId>, Vec<EdgeId>) {
     let mut seen: FxHashSet<VertexId> = FxHashSet::default();
     seen.insert(center);
     let mut members = vec![center];
@@ -265,7 +266,7 @@ fn build_one(fg: &FrozenGraph, center: VertexId, radius: usize) -> (Vec<VertexId
         let mut next = Vec::new();
         for &v in &frontier {
             for e in fg.incident_edges(v) {
-                let (s, d, _) = GraphView::edge(fg, e);
+                let (s, d, _) = fg.edge(e);
                 let w = if s == v { d } else { s };
                 if seen.insert(w) {
                     members.push(w);
@@ -282,7 +283,7 @@ fn build_one(fg: &FrozenGraph, center: VertexId, radius: usize) -> (Vec<VertexId
     let mut edges = Vec::new();
     for &v in &members {
         for e in fg.out_edges(v) {
-            if members.binary_search(&GraphView::edge_dst(fg, e)).is_ok() {
+            if members.binary_search(&fg.edge_dst(e)).is_ok() {
                 edges.push(e);
             }
         }
@@ -291,14 +292,14 @@ fn build_one(fg: &FrozenGraph, center: VertexId, radius: usize) -> (Vec<VertexId
     (members, edges)
 }
 
-/// [`GraphView`] over one neighborhood: frozen ids, adjacency delegated
-/// to the shared CSR and filtered by a membership binary search. Because
-/// the neighborhood is *induced*, any frozen edge between two members
-/// belongs to it — `has_edge_labeled` (the VF2 back-edge check) can
-/// delegate to the CSR's binary search unfiltered.
+/// [`GraphView`] over one neighborhood: the shared graph's frozen ids,
+/// adjacency delegated to its [`TxnRef`] and filtered by a membership
+/// binary search. Because the neighborhood is *induced*, any frozen edge
+/// between two members belongs to it — `has_edge_labeled` (the VF2
+/// back-edge check) can delegate to the CSR's binary search unfiltered.
 #[derive(Clone, Copy)]
 pub struct NbhdView<'a> {
-    fg: &'a FrozenGraph,
+    fg: TxnRef<'a>,
     members: &'a [VertexId],
     edges: &'a [EdgeId],
 }
@@ -328,23 +329,23 @@ impl GraphView for NbhdView<'_> {
     }
 
     fn vertex_label(&self, v: VertexId) -> VLabel {
-        GraphView::vertex_label(self.fg, v)
+        self.fg.vertex_label(v)
     }
 
     fn edge(&self, e: EdgeId) -> (VertexId, VertexId, ELabel) {
-        GraphView::edge(self.fg, e)
+        self.fg.edge(e)
     }
 
     fn out_edges(&self, v: VertexId) -> impl Iterator<Item = EdgeId> + '_ {
         self.fg
             .out_edges(v)
-            .filter(|&e| self.contains(GraphView::edge_dst(self.fg, e)))
+            .filter(|&e| self.contains(self.fg.edge_dst(e)))
     }
 
     fn in_edges(&self, v: VertexId) -> impl Iterator<Item = EdgeId> + '_ {
         self.fg
             .in_edges(v)
-            .filter(|&e| self.contains(GraphView::edge_src(self.fg, e)))
+            .filter(|&e| self.contains(self.fg.edge_src(e)))
     }
 
     fn visit_out_matching(
@@ -393,7 +394,7 @@ impl GraphView for NbhdView<'_> {
 /// The neighborhood index as a [`TxnSource`]: transaction *i* is center
 /// *i*'s [`NbhdView`], so a TID list is a center list.
 struct NbhdTxns<'a> {
-    fg: &'a FrozenGraph,
+    fg: TxnRef<'a>,
     index: &'a NbhdIndex,
 }
 
@@ -422,7 +423,7 @@ pub fn mine_neighborhoods(
     cfg: &NbhdConfig,
     exec: &Exec,
 ) -> Result<NbhdOutput, NbhdError> {
-    mine_frozen(&g.freeze(), cfg, exec)
+    mine_frozen(g.freeze().view(), cfg, exec)
 }
 
 /// Mines all frequent connected neighborhood patterns of `fg` directly
@@ -434,11 +435,7 @@ pub fn mine_neighborhoods(
 /// - [`NbhdError::InvalidRadius`] when `cfg.radius == 0`.
 /// - [`NbhdError::Cancelled`] when `exec` is cancelled mid-run.
 /// - [`NbhdError::Fault`] when the `fsg::candidate_gen` failpoint fires.
-pub fn mine_frozen(
-    fg: &FrozenGraph,
-    cfg: &NbhdConfig,
-    exec: &Exec,
-) -> Result<NbhdOutput, NbhdError> {
+pub fn mine_frozen(fg: TxnRef<'_>, cfg: &NbhdConfig, exec: &Exec) -> Result<NbhdOutput, NbhdError> {
     if cfg.radius == 0 {
         return Err(NbhdError::InvalidRadius);
     }
@@ -522,12 +519,12 @@ mod tests {
         // {a, b} and the one edge between them.
         let g = shapes::chain(2, 0, 1);
         let fg = g.freeze();
-        let index = NbhdIndex::build(&fg, 1, &Exec::sequential());
+        let index = NbhdIndex::build(fg.view(), 1, &Exec::sequential());
         assert_eq!(index.centers(), 3);
-        let va = index.view(&fg, 0);
+        let va = index.view(fg.view(), 0);
         assert_eq!(GraphView::vertex_count(&va), 2);
         assert_eq!(GraphView::edge_count(&va), 1);
-        let vb = index.view(&fg, 1);
+        let vb = index.view(fg.view(), 1);
         assert_eq!(GraphView::vertex_count(&vb), 3);
         assert_eq!(GraphView::edge_count(&vb), 2);
         let members: Vec<VertexId> = GraphView::vertices(&vb).collect();

@@ -19,7 +19,6 @@
 use crate::graph::{Graph, VertexId};
 use crate::hash::{FxHashMap, FxHasher};
 use crate::iso::are_isomorphic;
-use crate::view::GraphView;
 use std::hash::Hasher;
 
 fn mix(parts: &[u64]) -> u64 {
@@ -48,15 +47,12 @@ const WL_ROUNDS: usize = 3;
 /// miners' closure checks and visited-set probes — compute the WL
 /// refinement once.
 pub fn invariant_hash(g: &Graph) -> u64 {
-    *g.hash_cache.get_or_init(|| wl_hash_view(g))
+    *g.hash_cache.get_or_init(|| wl_hash(g))
 }
 
-/// The WL invariant hash over any [`GraphView`] — the single
-/// implementation behind both [`invariant_hash`] (builder, memoized) and
-/// `FrozenGraph::invariant_hash` (snapshot, memoized). The computation
-/// depends only on labels and structure, never on id numbering, so a
-/// builder and its frozen snapshot hash identically.
-pub(crate) fn wl_hash_view<G: GraphView>(g: &G) -> u64 {
+/// The WL refinement behind [`invariant_hash`]. It depends only on
+/// labels and structure, never on id numbering.
+fn wl_hash(g: &Graph) -> u64 {
     if g.vertex_count() == 0 {
         return mix(&[0x9e37_79b9]);
     }

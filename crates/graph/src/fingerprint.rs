@@ -27,7 +27,7 @@
 //! degrees, incident labels), so the arena and frozen representations of
 //! the same graph produce identical values — filter decisions, counters,
 //! and therefore miner output stay byte-identical across representations.
-//! The frozen forms precompute the array at freeze time and override
+//! The frozen form precomputes the array at freeze time and overrides
 //! [`GraphView::vertex_fp`] with an array load; the arena computes on
 //! demand.
 
@@ -195,7 +195,7 @@ mod tests {
         for g in &random_transactions(5, &cfg, 91) {
             let fg = g.freeze();
             for v in g.vertices() {
-                assert_eq!(g.vertex_fp(v), GraphView::vertex_fp(&fg, v));
+                assert_eq!(g.vertex_fp(v), fg.view().vertex_fp(v));
             }
         }
     }

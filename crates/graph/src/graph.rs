@@ -16,7 +16,8 @@
 //! The arena is the **builder** half of a two-representation lifecycle:
 //! construct and mutate here, then [`GraphBuilder::freeze`] into an
 //! immutable [`crate::frozen::FrozenGraph`] CSR snapshot for the read-only
-//! mining phase (and [`crate::frozen::FrozenGraph::thaw`] back if needed).
+//! mining phase. Freezing is one-way: nothing reads a snapshot back into
+//! a builder.
 //! `Graph` remains an alias for [`GraphBuilder`] because small append-only
 //! pattern graphs — which are never frozen — are the pervasive currency of
 //! the miners.
@@ -484,9 +485,10 @@ impl GraphBuilder {
     }
 
     /// Snapshots the live structure into an immutable, compacted
-    /// [`FrozenGraph`] (dense ids in live-id order, label-sorted CSR
-    /// adjacency). The builder is untouched; see
-    /// [`FrozenGraph::thaw`] for the inverse.
+    /// [`FrozenGraph`]: a one-transaction [`crate::frozen::TxnSet`] with
+    /// dense ids in live-id order (the numbering [`Self::compact`]
+    /// produces) and label-sorted CSR adjacency, read through
+    /// [`FrozenGraph::view`]. The builder is untouched.
     pub fn freeze(&self) -> FrozenGraph {
         FrozenGraph::freeze(self)
     }

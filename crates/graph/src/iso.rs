@@ -457,8 +457,9 @@ impl Matcher {
     /// supports, and disjoint counts are unaffected; only the raw
     /// embedding multiplicity of symmetric patterns is reduced.
     ///
-    /// The target may be any [`GraphView`]: the builder arena, a
-    /// [`crate::frozen::FrozenGraph`], or a [`crate::frozen::TxnRef`].
+    /// The target may be any [`GraphView`]: the builder arena or a frozen
+    /// [`crate::frozen::TxnRef`] (a packed transaction, or a single
+    /// graph's [`crate::frozen::FrozenGraph::view`]).
     pub fn find<G: GraphView>(&self, target: &G, mode: Find) -> Vec<Embedding> {
         self.search(target, mode, true, &mut 0)
     }
@@ -1444,6 +1445,7 @@ mod tests {
         let y = t.add_vertex(VLabel(0));
         t.add_edge(x, y, b);
         let t = t.freeze();
+        let t = t.view();
 
         assert!(!has_embedding(&p, &t));
         let mut nodes = 0;
@@ -1584,7 +1586,8 @@ mod tests {
             let p = random_pattern(&mut rng, &t);
             let want = brute_force_embeddings(&p, &t);
             let m = Matcher::new(&p);
-            let frozen = t.freeze();
+            let fg = t.freeze();
+            let frozen = fg.view();
             for (form, got) in [
                 ("arena", m.find_unpruned(&t, Find::All)),
                 ("frozen", m.find_unpruned(&frozen, Find::All)),
@@ -1641,7 +1644,8 @@ mod tests {
                 }
             }
             let ext = derive_extension(parent.vertex_count(), &child).expect("one-edge growth");
-            let frozen = t.freeze();
+            let fg = t.freeze();
+            let frozen = fg.view();
             multigraph_cases += usize::from(!frozen.is_simple());
             let stride = child_stride(parent.vertex_count(), &ext);
             let (mut arena_rows, mut frozen_rows) = (Vec::new(), Vec::new());

@@ -10,10 +10,11 @@
 //! * [`graph::GraphBuilder`] (alias [`graph::Graph`]) — arena-based
 //!   directed labeled multigraph with tombstone deletion (what ingest
 //!   builds and the partitioners peel edges from);
-//! * [`frozen`] — immutable [`frozen::FrozenGraph`] CSR snapshots
-//!   (`freeze()`/`thaw()`) with label-sorted adjacency, and
-//!   [`frozen::TxnSet`], a whole partition's transactions packed into
-//!   shared arenas — the read side every miner traverses;
+//! * [`frozen`] — [`frozen::TxnSet`], graphs frozen into label-sorted
+//!   CSR arrays packed into shared arenas and read through
+//!   [`frozen::TxnRef`] — the read side every miner traverses — and
+//!   [`frozen::FrozenGraph`], one graph's `freeze()` as a
+//!   one-transaction set;
 //! * [`view`] — the [`view::GraphView`] read trait both representations
 //!   implement (and [`view::TxnSource`] for transaction collections);
 //! * [`traverse`] — BFS reachability, weakly connected components;

@@ -220,6 +220,7 @@ mod tests {
         let dead = g.add_vertex(VLabel(0));
         g.remove_vertex(dead);
         let fg = g.freeze();
+        let fg = fg.view();
         for labels in [
             vec![],
             vec![ELabel(0)],

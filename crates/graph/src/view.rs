@@ -3,20 +3,21 @@
 //! Every consumer downstream of construction — the VF2 matcher, embedding
 //! extension, WL hashing, SUBDUE's instance expansion — only *reads*
 //! structure. [`GraphView`] captures exactly that surface so one generic
-//! implementation serves the tombstone arena ([`Graph`]), the immutable
-//! CSR snapshot ([`crate::frozen::FrozenGraph`]), and per-transaction
-//! views into a packed [`crate::frozen::TxnSet`].
+//! implementation serves the tombstone arena ([`Graph`]) and the frozen
+//! CSR form: per-transaction views ([`crate::frozen::TxnRef`]) into a
+//! packed [`crate::frozen::TxnSet`], which is also what a single frozen
+//! graph ([`crate::frozen::FrozenGraph::view`]) reads through.
 //!
 //! Ordering contract (load-bearing for determinism): `vertices()`,
 //! `edges()`, `out_edges()`, and `in_edges()` yield ids in **ascending id
 //! order** on every implementation. The arena satisfies this because
 //! adjacency lists are append-ordered and ids are never reused; the
-//! frozen forms satisfy it by construction. Miners rely on this so that
+//! frozen form satisfies it by construction. Miners rely on this so that
 //! freezing a (dense) graph never reorders candidate enumeration.
 //!
 //! The `visit_*_matching` hooks are the optimization seam: the default
 //! implementations linearly filter adjacency (what the arena can do), and
-//! the frozen forms override them with binary searches over label-sorted
+//! the frozen form overrides them with binary searches over label-sorted
 //! adjacency. Both yield matches in ascending edge-id order, so swapping
 //! representations cannot change miner output.
 
@@ -166,8 +167,8 @@ pub trait GraphView {
     /// Structural fingerprint of `v` (see [`crate::fingerprint`]): a
     /// packed u64 of label blooms and unary degrees, checked with
     /// [`crate::fingerprint::fp_subsumes`] before VF2. The default
-    /// computes from adjacency; frozen forms override with a load from
-    /// their freeze-time array. Both yield identical values for the same
+    /// computes from adjacency; the frozen form overrides with a load from
+    /// its freeze-time array. Both yield identical values for the same
     /// graph, so filter decisions are representation-invariant.
     fn vertex_fp(&self, v: VertexId) -> u64 {
         crate::fingerprint::vertex_fingerprint(self, v)

@@ -17,7 +17,7 @@
 use crate::split::{split_frozen, Strategy};
 use tnet_exec::Exec;
 use tnet_graph::canon::IsoClassMap;
-use tnet_graph::frozen::FrozenGraph;
+use tnet_graph::frozen::TxnRef;
 use tnet_graph::graph::Graph;
 use tnet_graph::rng::{derive_seed, StdRng};
 
@@ -57,14 +57,14 @@ pub fn mine_single_graph(
     exec: &Exec,
     mine: impl Fn(&[Graph], &Exec) -> Vec<(Graph, usize)> + Sync,
 ) -> Vec<SingleGraphPattern> {
-    mine_single_graph_frozen(&g.freeze(), k, m, strategy, seed, exec, mine)
+    mine_single_graph_frozen(g.freeze().view(), k, m, strategy, seed, exec, mine)
 }
 
 /// Algorithm 1 over a frozen snapshot: every repetition splits the
 /// shared snapshot through its own deleted-edge overlay instead of
 /// cloning the whole graph. Output as [`mine_single_graph`].
 pub fn mine_single_graph_frozen(
-    frozen: &FrozenGraph,
+    frozen: TxnRef<'_>,
     k: usize,
     m: usize,
     strategy: Strategy,

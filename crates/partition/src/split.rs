@@ -20,7 +20,7 @@
 //! and larger partitions" caveat in the paper.
 
 use std::collections::VecDeque;
-use tnet_graph::frozen::FrozenGraph;
+use tnet_graph::frozen::TxnRef;
 use tnet_graph::graph::{EdgeId, Graph, VertexId};
 use tnet_graph::rng::{Rng, SliceRandom};
 use tnet_graph::view::{self, GraphView};
@@ -74,12 +74,12 @@ impl Frontier {
     }
 }
 
-/// Deleted-edge overlay over an immutable [`FrozenGraph`] snapshot: the
-/// walk "removes" edges by flipping bits here instead of tombstoning a
-/// full working clone of the graph — one bitset and one degree vector per
+/// Deleted-edge overlay over an immutable frozen view: the walk
+/// "removes" edges by flipping bits here instead of tombstoning a full
+/// working clone of the graph — one bitset and one degree vector per
 /// `split_frozen` call, shared-nothing against the snapshot itself.
 struct Peel<'a> {
-    fg: &'a FrozenGraph,
+    fg: TxnRef<'a>,
     /// Edges already pulled into a transaction.
     removed: Vec<bool>,
     /// Live incident adjacency entries per vertex (out row + in row, so a
@@ -91,7 +91,7 @@ struct Peel<'a> {
 }
 
 impl<'a> Peel<'a> {
-    fn new(fg: &'a FrozenGraph) -> Peel<'a> {
+    fn new(fg: TxnRef<'a>) -> Peel<'a> {
         let live = fg
             .vertices()
             .map(|v| (fg.out_degree(v) + fg.in_degree(v)) as u32)
@@ -133,16 +133,17 @@ impl<'a> Peel<'a> {
 /// # Panics
 /// Panics if `k == 0`.
 pub fn split_graph(g: &Graph, k: usize, strategy: Strategy, rng: &mut impl Rng) -> Vec<Graph> {
-    split_frozen(&g.freeze(), k, strategy, rng)
+    split_frozen(g.freeze().view(), k, strategy, rng)
 }
 
-/// Splits a frozen snapshot into approximately `k` edge-disjoint graph
-/// transactions using Algorithm 2. The walk tracks deleted edges in a
-/// [`Peel`] overlay (bitset + live-degree vector) instead of mutating a
-/// working clone, so repeated splits of the same snapshot allocate only
-/// the overlay. Transactions preserve vertex and edge labels; a vertex
-/// incident to edges in several transactions appears in each (vertex
-/// overlap is allowed, edge overlap is not).
+/// Splits a frozen graph, read through its view (`g.freeze().view()`),
+/// into approximately `k` edge-disjoint graph transactions using
+/// Algorithm 2. The walk tracks deleted edges in a private overlay
+/// (bitset + live-degree vector) instead of mutating a working clone, so
+/// repeated splits of the same snapshot allocate only the overlay.
+/// Transactions preserve vertex and edge labels; a vertex incident to
+/// edges in several transactions appears in each (vertex overlap is
+/// allowed, edge overlap is not).
 ///
 /// For the same underlying graph, seed, and `k`, the produced transaction
 /// graphs are identical to what the historical clone-and-tombstone walk
@@ -152,7 +153,7 @@ pub fn split_graph(g: &Graph, k: usize, strategy: Strategy, rng: &mut impl Rng) 
 /// # Panics
 /// Panics if `k == 0`.
 pub fn split_frozen(
-    fg: &FrozenGraph,
+    fg: TxnRef<'_>,
     k: usize,
     strategy: Strategy,
     rng: &mut impl Rng,
@@ -169,7 +170,7 @@ pub fn split_frozen(
         if picked.is_empty() {
             break; // defensive: cannot happen while edges remain
         }
-        let (sub, _) = view::edge_subgraph(fg, &picked);
+        let (sub, _) = view::edge_subgraph(&fg, &picked);
         out.push(sub);
     }
     out

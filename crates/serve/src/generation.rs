@@ -4,11 +4,12 @@
 //! A generation is the live transaction set at one publish instant plus
 //! everything a query needs precomputed from it: the fitted
 //! [`BinScheme`] and, per edge labeling, the [`FrozenGraph`] CSR
-//! snapshot of the deduplicated OD graph. Construction runs
-//! the *same* code path as the offline commands (`fit_width_transactions`
-//! → `build_od_graph` → `dedup_edges` → `freeze`), which is what makes
-//! query replies byte-identical to `tnet mine` / `tnet stats` on a dump
-//! of the same snapshot — the differential tests rely on it.
+//! snapshot of the deduplicated OD graph, which queries read through its
+//! [`TxnRef`] view. Construction runs the *same* code path as the
+//! offline commands (`fit_width_transactions` → `build_od_graph` →
+//! `dedup_edges` → `freeze`), which is what makes query replies
+//! byte-identical to `tnet mine` / `tnet stats` on a dump of the same
+//! snapshot — the differential tests rely on it.
 //!
 //! Everything here is built by the writer thread *before* the swap;
 //! readers touch only `&self`.
@@ -19,7 +20,7 @@ use tnet_core::error::PipelineError;
 use tnet_data::binning::BinScheme;
 use tnet_data::model::Transaction;
 use tnet_data::od_graph::{build_od_graph, EdgeLabeling, VertexLabeling};
-use tnet_graph::frozen::FrozenGraph;
+use tnet_graph::frozen::{FrozenGraph, TxnRef};
 
 /// Snapshot data that only exists when the dataset is non-empty.
 pub struct GenData {
@@ -81,11 +82,11 @@ impl Generation {
         })
     }
 
-    /// The labeling's frozen OD graph, or a uniform protocol-level
-    /// explanation for the empty dataset.
-    pub fn labeled(&self, labeling: EdgeLabeling) -> Result<&FrozenGraph, PipelineError> {
+    /// The view of the labeling's frozen OD graph, or a uniform
+    /// protocol-level explanation for the empty dataset.
+    pub fn labeled(&self, labeling: EdgeLabeling) -> Result<TxnRef<'_>, PipelineError> {
         match &self.data {
-            Some(d) => Ok(&d.graphs[labeling_index(labeling)]),
+            Some(d) => Ok(d.graphs[labeling_index(labeling)].view()),
             None => Err(PipelineError::Protocol {
                 message: format!(
                     "generation {} holds no transactions yet; ingest before querying graphs",

@@ -27,7 +27,7 @@ pub fn execute(gen: &Generation, req: &Request, exec: &Exec) -> Result<String, P
         Request::Stats => stats_reply(gen),
         Request::Support { labeling, labels } => {
             let fg = gen.labeled(*labeling)?;
-            let count = count_label_walks(fg, labels);
+            let count = count_label_walks(&fg, labels);
             Ok(format!(
                 "{{\"ok\":true,\"op\":\"support\",\"generation\":{},\"labeling\":{},\
                  \"count\":{count},\"vertices\":{},\"edges\":{}}}",
@@ -146,7 +146,7 @@ mod tests {
         let fg = g
             .labeled(tnet_data::od_graph::EdgeLabeling::GrossWeight)
             .unwrap();
-        let want = count_label_walks(fg, &[tnet_graph::graph::ELabel(0)]);
+        let want = count_label_walks(&fg, &[tnet_graph::graph::ELabel(0)]);
         assert!(reply.contains(&format!("\"count\":{want}")), "{reply}");
     }
 

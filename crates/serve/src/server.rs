@@ -109,7 +109,8 @@ pub struct ServerHandle {
 }
 
 /// Starts the daemon: recovers durable state (when configured), binds,
-/// publishes generation 0, and spawns the writer and accept threads.
+/// spawns the writer thread and waits for it to publish generation 0,
+/// then spawns the accept thread.
 ///
 /// Recovery order matters: the WAL and snapshot are read *before* the
 /// socket binds, so a corrupt data directory refuses startup (typed
@@ -142,25 +143,24 @@ pub fn start(cfg: ServeConfig) -> Result<ServerHandle, PipelineError> {
                     );
                 }
                 recovered.live
+            } else if cfg.initial.is_empty() {
+                cfg.initial
             } else {
                 // Seed data enters through the WAL like any other batch
                 // so *everything* publishable is durable from day one.
-                if !cfg.initial.is_empty() {
-                    d.append(&WalOp::Append(cfg.initial.clone()))?;
-                    d.sync()?;
-                }
-                cfg.initial
+                // The op holds the seed for the append, uncopied.
+                let op = WalOp::Append(cfg.initial);
+                d.append(&op)?;
+                d.sync()?;
+                let WalOp::Append(seed) = op else {
+                    unreachable!("the seed op is an append")
+                };
+                seed
             };
             (seed, Some(d))
         }
         None => (cfg.initial, None),
     };
-    let genesis = {
-        let _t = span.time("serve.genesis");
-        Generation::build(0, initial.clone())?
-    };
-    let current = Arc::new(Current::new(genesis));
-
     let listener = TcpListener::bind(&cfg.addr)
         .map_err(|e| PipelineError::Io(format!("cannot bind {}: {e}", cfg.addr)))?;
     let addr = listener
@@ -170,20 +170,43 @@ pub fn start(cfg: ServeConfig) -> Result<ServerHandle, PipelineError> {
         .set_nonblocking(true)
         .map_err(|e| PipelineError::Io(e.to_string()))?;
 
+    // The writer thread builds every generation, genesis included, so
+    // generation 0 lives in the writer's heap like every later one, not
+    // in the caller's, where the allocator may keep it resident after
+    // it is replaced (DESIGN §12). `start` waits for it: a seed that
+    // bin fitting rejects still refuses startup.
     let (ingest_tx, ingest_rx) = mpsc::channel::<IngestOp>();
-    let writer = Writer::new(
-        Arc::clone(&current),
-        initial,
-        1,
-        durable,
-        registry.clone(),
-        span.clone(),
-    );
+    let (genesis_tx, genesis_rx) = mpsc::sync_channel(1);
+    let (writer_registry, writer_span) = (registry.clone(), span.clone());
     let writer_cfg = cfg.writer.clone();
     let writer_thread = std::thread::Builder::new()
         .name("tnet-serve-writer".into())
-        .spawn(move || writer.run(ingest_rx, writer_cfg))
+        .spawn(move || {
+            let genesis = {
+                let _t = writer_span.time("serve.genesis");
+                Generation::build(0, initial.clone())
+            };
+            let current = match genesis {
+                Ok(g) => Arc::new(Current::new(g)),
+                Err(e) => return drop(genesis_tx.send(Err(e))),
+            };
+            let _ = genesis_tx.send(Ok(Arc::clone(&current)));
+            Writer::new(current, initial, 1, durable, writer_registry, writer_span)
+                .run(ingest_rx, writer_cfg)
+        })
         .map_err(|e| PipelineError::Io(e.to_string()))?;
+    let genesis = genesis_rx.recv().unwrap_or_else(|_| {
+        Err(PipelineError::Io(
+            "the writer thread died building generation 0".into(),
+        ))
+    });
+    let current = match genesis {
+        Ok(current) => current,
+        Err(e) => {
+            let _ = writer_thread.join();
+            return Err(e);
+        }
+    };
 
     let shared = Arc::new(Shared {
         current,

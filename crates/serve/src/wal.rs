@@ -87,15 +87,22 @@ pub(crate) fn encode_txn(out: &mut Vec<u8>, t: &Transaction) {
     });
 }
 
-/// Encodes a record's payload (seq + op + body).
-pub fn encode_payload(seq: u64, op: &WalOp) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16);
+/// Encodes one full on-disk record in a single buffer: the frame
+/// header (payload length, masked CRC of the payload) followed by the
+/// payload (seq + op + body).
+pub fn encode_record(seq: u64, op: &WalOp) -> Vec<u8> {
+    let body = match op {
+        WalOp::Append(txns) => txns.len() * TXN_BYTES,
+        WalOp::Delete(ids) => ids.len() * 8,
+    };
+    // Header, seq, tag, count, body: one allocation of the exact size.
+    let mut out = Vec::with_capacity(8 + 8 + 1 + 4 + body);
+    out.extend_from_slice(&[0; 8]);
     put_u64(&mut out, seq);
     match op {
         WalOp::Append(txns) => {
             out.push(1);
             put_u32(&mut out, txns.len() as u32);
-            out.reserve(txns.len() * TXN_BYTES);
             for t in txns {
                 encode_txn(&mut out, t);
             }
@@ -108,15 +115,11 @@ pub fn encode_payload(seq: u64, op: &WalOp) -> Vec<u8> {
             }
         }
     }
-    out
-}
-
-/// Frames a payload as a full on-disk record.
-pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + payload.len());
-    put_u32(&mut out, payload.len() as u32);
-    put_u32(&mut out, crc::mask(crc::crc32c(payload)));
-    out.extend_from_slice(payload);
+    debug_assert_eq!(out.len(), out.capacity(), "TXN_BYTES matches encode_txn");
+    let payload = &out[8..];
+    let (len, crc) = (payload.len() as u32, crc::mask(crc::crc32c(payload)));
+    out[..4].copy_from_slice(&len.to_le_bytes());
+    out[4..8].copy_from_slice(&crc.to_le_bytes());
     out
 }
 
@@ -411,7 +414,7 @@ impl WalWriter {
     pub fn append(&mut self, op: &WalOp) -> Result<u64, PipelineError> {
         failpoint::hit("serve::wal_append").map_err(|f| PipelineError::Io(f.to_string()))?;
         let seq = self.seq + 1;
-        let record = frame(&encode_payload(seq, op));
+        let record = encode_record(seq, op);
         self.file
             .write_all(&record)
             .and_then(|()| self.file.flush())

@@ -189,12 +189,17 @@ impl Writer {
     }
 
     /// Live transactions: the log minus tombstoned ids, in ingest order.
+    /// Sized up front: a filtered collect starts from a few elements and
+    /// reallocates its way up to the whole log on every publish.
     fn live(&self) -> Vec<Transaction> {
-        self.log
-            .iter()
-            .filter(|t| !self.deleted.contains(&t.id))
-            .cloned()
-            .collect()
+        let mut live = Vec::with_capacity(self.log.len());
+        live.extend(
+            self.log
+                .iter()
+                .filter(|t| !self.deleted.contains(&t.id))
+                .cloned(),
+        );
+        live
     }
 
     /// Builds and publishes a new generation. On any failure the

@@ -166,6 +166,18 @@ fn pinned_generation_stays_byte_identical_while_next_publishes() {
     assert_eq!(pinned.id, 1);
 }
 
+/// The writer thread builds generation 0, and `start` waits for it: a
+/// seed that bin fitting rejects still refuses startup with that error.
+#[test]
+fn seed_that_bin_fitting_rejects_refuses_startup() {
+    let mut seed = txns(0.005, 7);
+    seed.truncate(1);
+    match tnet_serve::start(quiescent_config(seed)) {
+        Ok(_) => panic!("a one-record seed has degenerate bin ranges"),
+        Err(e) => assert_eq!(e.kind(), "bin_fit", "{e}"),
+    }
+}
+
 /// Cache keys carry the generation id: a publish invalidates every
 /// cached reply without any explicit eviction walk.
 #[test]
@@ -454,7 +466,7 @@ fn serve_replies_match_offline_pipeline_byte_for_byte() {
     let support = c.send(r#"{"op":"support","labeling":"gw","labels":[0,1]}"#);
     assert_eq!(
         field_u64(&support, "count"),
-        count_label_walks(&frozen, &labels),
+        count_label_walks(&frozen.view(), &labels),
         "{support}"
     );
 

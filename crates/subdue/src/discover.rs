@@ -12,7 +12,7 @@ use crate::substructure::{
 };
 use std::time::{Duration, Instant};
 use tnet_exec::Exec;
-use tnet_graph::graph::Graph;
+use tnet_graph::graph::{EdgeId, Graph, VertexId};
 use tnet_graph::view::GraphView;
 
 /// Search configuration.
@@ -37,7 +37,7 @@ pub struct SubdueConfig {
     /// Abort with [`SubdueError::MemoryBudgetExceeded`] when the
     /// estimated bytes held by the open list, best list, and the current
     /// expansion's children cross this budget. `None` disables the
-    /// check. Same semantics as [`tnet_fsg::FsgConfig::memory_budget`]
+    /// check. Same semantics as `tnet_fsg::FsgConfig::memory_budget`
     /// (Cook & Holder's beam search has no intrinsic bound on instance
     /// lists over dense graphs).
     pub memory_budget: Option<usize>,
@@ -149,9 +149,11 @@ pub fn discover(g: &Graph, cfg: &SubdueConfig) -> Result<SubdueOutput, SubdueErr
 ///
 /// Freezes the input into a [`tnet_graph::FrozenGraph`] CSR snapshot
 /// first (instance expansion walks adjacency heavily), runs the beam
-/// search on it, and translates the reported instances' vertex/edge ids
-/// back into the caller's arena id space via the snapshot's origin maps
-/// — for an already-compact arena the translation is the identity. The
+/// search on its view, and translates the reported instances'
+/// vertex/edge ids back into the caller's arena id space: freezing
+/// numbers ids in live-id order, so dense id `i` is the `i`-th of
+/// `g.vertices()` (or `g.edges()`) — for an already-compact arena the
+/// translation is the identity. The
 /// beam advances one expansion at a time and children are folded back in
 /// expansion order, so the search trajectory — and the output — is
 /// identical at any thread count and identical to [`discover_core`] on
@@ -167,21 +169,18 @@ pub fn discover_with(
     cfg: &SubdueConfig,
     exec: &Exec,
 ) -> Result<SubdueOutput, SubdueError> {
-    let frozen = g.freeze();
-    let mut out = discover_core(&frozen, cfg, exec)?;
-    // Dense snapshot ids → the caller's arena ids. The origin maps are
-    // monotone in live-id order, so the instances' sorted id lists stay
-    // sorted.
+    let mut out = discover_core(&g.freeze().view(), cfg, exec)?;
+    // Dense snapshot ids → the caller's arena ids. Live-id order is
+    // ascending, so the instances' sorted id lists stay sorted.
+    let live_v: Vec<VertexId> = g.vertices().collect();
+    let live_e: Vec<EdgeId> = g.edges().collect();
     for sub in &mut out.best {
         for inst in &mut sub.instances {
-            for v in &mut inst.vertices {
-                *v = frozen.orig_vertex(*v);
+            for v in inst.vertices.iter_mut().chain(&mut inst.map) {
+                *v = live_v[v.index()];
             }
             for e in &mut inst.edges {
-                *e = frozen.orig_edge(*e);
-            }
-            for v in &mut inst.map {
-                *v = frozen.orig_vertex(*v);
+                *e = live_e[e.index()];
             }
         }
     }
@@ -366,6 +365,36 @@ mod tests {
         assert_eq!(top.disjoint_count(), 10);
         assert!(top.value > 1.0, "compression ratio should exceed 1");
         assert!(out.expanded > 0 && out.evaluated > 0);
+    }
+
+    /// On an arena with tombstones, frozen ids differ from builder ids;
+    /// the remap through live-id order must report exactly what the
+    /// arena search itself reports.
+    #[test]
+    fn instances_come_back_in_builder_ids() {
+        let mut g = Graph::new();
+        for i in 0..12 {
+            let a = g.add_vertex(VLabel(0));
+            let b = g.add_vertex(VLabel(0));
+            let e = g.add_edge(a, b, ELabel(0));
+            match i % 3 {
+                0 => g.remove_vertex(a),
+                1 => g.remove_edge(e),
+                _ => {}
+            }
+        }
+        let cfg = SubdueConfig::default();
+        let frozen = discover(&g, &cfg).unwrap();
+        let arena = discover_core(&g, &cfg, &Exec::sequential()).unwrap();
+        let ids = |out: &SubdueOutput| -> Vec<_> {
+            out.best
+                .iter()
+                .flat_map(|s| &s.instances)
+                .map(|i| (i.vertices.clone(), i.edges.clone(), i.map.clone()))
+                .collect()
+        };
+        assert!(!frozen.best.is_empty());
+        assert_eq!(ids(&frozen), ids(&arena));
     }
 
     #[test]

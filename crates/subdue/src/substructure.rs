@@ -46,7 +46,7 @@ impl std::hash::Hash for Instance {
 
 /// How a grown edge attaches to an instance, relative to the instance's
 /// pattern mapping: endpoint slots are pattern-vertex indices, or
-/// [`ExtKey::NEW`] for the one endpoint outside the instance (whose
+/// `ExtKey::NEW` for the one endpoint outside the instance (whose
 /// label is then `new_label`). Instances of the same substructure grown
 /// with the same key induce the same child pattern, so expansion derives
 /// one pattern graph per distinct key instead of one per grown instance.

@@ -84,8 +84,8 @@ fn frozen_and_arena_miners_agree() {
     assert_eq!(frozen.stats.iso_tests, arena.stats.iso_tests);
 
     // SUBDUE mines a single graph; instance ids must come back in the
-    // caller's arena id space (discover_with remaps through the frozen
-    // snapshot's orig maps).
+    // caller's arena id space (discover_with remaps through the
+    // builder's live-id order).
     let p = Pipeline::synthetic(0.015, 42);
     let scheme = tnet_data::binning::BinScheme::fit_width_transactions(p.transactions()).unwrap();
     let g = tnet_core::experiments::structural::truncated_structural_graph(

@@ -187,13 +187,14 @@ fn agreement_with_fsg_when_radius_covers_each_component() {
 #[test]
 fn matches_fsg_over_neighborhoods_copied_out_as_graphs() {
     let g = od_graph();
-    let fg = g.freeze();
+    let frozen = g.freeze();
+    let fg = frozen.view();
     let exec = Exec::new(2);
     for radius in [1, 2] {
-        let index = NbhdIndex::build(&fg, radius, &exec);
+        let index = NbhdIndex::build(fg, radius, &exec);
         let txns: Vec<Graph> = (0..index.centers())
             .map(|c| {
-                let view = index.view(&fg, c);
+                let view = index.view(fg, c);
                 let edges: Vec<EdgeId> = GraphView::edges(&view).collect();
                 edge_subgraph(&view, &edges).0
             })
