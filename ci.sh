@@ -88,6 +88,16 @@ echo "== frozen-vs-arena differential: miners agree across representations"
 cargo test -q -p tnet-core --offline --test determinism \
     frozen_and_arena_miners_agree
 
+echo "== canonical-code differential: equal codes iff isomorphic, at scale"
+# 100,000 seeded random multigraph pairs of up to 7 vertices (self-loops,
+# parallel edges) checked against VF2, plus same-label directed cycle
+# covers of up to 12 vertices, which colour refinement alone cannot
+# split. The time bound catches a search that degrades into enumerating
+# vertex orders.
+cargo test --release -q -p tnet-graph --offline --test canon --no-run
+TNET_CANON_PAIRS=100000 timeout 60 \
+    cargo test --release -q -p tnet-graph --offline --test canon
+
 echo "== trace smoke: --trace-json round-trips through the schema parser"
 TRACE_OUT=/tmp/tnet_ci_trace.json
 "$TNET" mine --scale 0.01 --partitions 4 --support 3 --max-edges 3 \
@@ -96,6 +106,7 @@ TRACE_OUT=/tmp/tnet_ci_trace.json
 grep -q '^--- trace' /tmp/tnet_ci_trace.out
 grep -q 'fsg' /tmp/tnet_ci_trace.out
 grep -q 'fsg.iso_tests' /tmp/tnet_ci_trace.out
+grep -q 'fsg.iso_class_checks' /tmp/tnet_ci_trace.out
 # The frozen-graph counters flow into both the verbose summary and the
 # unified metrics namespace.
 grep -q '^frozen graphs:' /tmp/tnet_ci_trace.out

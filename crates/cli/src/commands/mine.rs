@@ -109,6 +109,10 @@ pub fn run(args: &Args) -> Result<(), CliError> {
         );
         if verbose {
             outln!(
+                "pattern classes: {} iso-class checks",
+                out.stats.iso_class_checks
+            );
+            outln!(
                 "support counting: {} iso tests, {} embeddings extended, {} spilled",
                 out.stats.iso_tests,
                 out.stats.embeddings_extended,
@@ -138,6 +142,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
             .with_memory_budget(512 << 20);
         // Accumulated across repetitions (the miner closure runs on pool
         // workers, hence atomics).
+        let iso_class_checks = AtomicUsize::new(0);
         let iso_tests = AtomicUsize::new(0);
         let embeddings_extended = AtomicUsize::new(0);
         let embeddings_spilled = AtomicUsize::new(0);
@@ -154,6 +159,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
                 &exec,
                 |t, e| match mine_with(t, &cfg, e) {
                     Ok(out) => {
+                        iso_class_checks.fetch_add(out.stats.iso_class_checks, Ordering::Relaxed);
                         iso_tests.fetch_add(out.stats.iso_tests, Ordering::Relaxed);
                         embeddings_extended
                             .fetch_add(out.stats.embeddings_extended, Ordering::Relaxed);
@@ -178,6 +184,10 @@ pub fn run(args: &Args) -> Result<(), CliError> {
             partitions
         );
         if verbose {
+            outln!(
+                "pattern classes: {} iso-class checks",
+                iso_class_checks.load(Ordering::Relaxed)
+            );
             outln!(
                 "support counting: {} iso tests, {} embeddings extended, {} spilled, \
                  {} transactions skipped by TID intersection",

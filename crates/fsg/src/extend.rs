@@ -17,7 +17,7 @@
 //! equivalent-but-simpler scheme (documented in DESIGN.md); Apriori-style
 //! downward-closure pruning is applied separately by the miner.
 
-use tnet_graph::canon::IsoClassMap;
+use tnet_graph::canon::{CanonicalCode, IsoClassMap};
 use tnet_graph::graph::{ELabel, Graph, VLabel, VertexId};
 use tnet_graph::hash::FxHashSet;
 
@@ -98,17 +98,75 @@ pub struct EdgeVocab {
     pub dst: VLabel,
 }
 
+/// A pattern as vertex labels and `[src, dst, label]` edges over its
+/// vertices' positions, for coding one-edge extensions without building
+/// them.
+struct Parts {
+    labels: Vec<u32>,
+    edges: Vec<[u32; 3]>,
+}
+
+impl Parts {
+    /// `pattern`'s parts; `vertices` are its live vertices in id order.
+    fn of(pattern: &Graph, vertices: &[VertexId]) -> Parts {
+        let pos = |v: VertexId| vertices.binary_search(&v).expect("live vertex") as u32;
+        let mut labels = Vec::with_capacity(vertices.len() + 1);
+        labels.extend(vertices.iter().map(|&v| pattern.vertex_label(v).0));
+        let mut edges = Vec::with_capacity(pattern.edge_count() + 1);
+        edges.extend(pattern.edges().map(|e| {
+            let (s, d, l) = pattern.edge(e);
+            [pos(s), pos(d), l.0]
+        }));
+        Parts { labels, edges }
+    }
+
+    /// The code of the pattern plus `edge`, whose endpoint
+    /// `labels.len()` is a new vertex labeled `new_vertex`.
+    fn code_with(&mut self, new_vertex: Option<VLabel>, edge: [u32; 3]) -> CanonicalCode {
+        if let Some(l) = new_vertex {
+            self.labels.push(l.0);
+        }
+        self.edges.push(edge);
+        let code = CanonicalCode::of_parts(&self.labels, &self.edges);
+        self.edges.pop();
+        if new_vertex.is_some() {
+            self.labels.pop();
+        }
+        code
+    }
+}
+
+/// `pattern` plus the edge `src -(label)-> dst`, an endpoint `None` being
+/// a new vertex labeled `fresh`. Returned as a clone: the pushes leave
+/// spare capacity in the arena's vectors, and a class representative
+/// lives as long as the pattern it becomes.
+fn with_edge(
+    pattern: &Graph,
+    src: Option<VertexId>,
+    dst: Option<VertexId>,
+    label: ELabel,
+    fresh: VLabel,
+) -> Graph {
+    let mut g = pattern.clone();
+    let mut end = |v: Option<VertexId>| v.unwrap_or_else(|| g.add_vertex(fresh));
+    let (s, d) = (end(src), end(dst));
+    g.add_edge(s, d, label);
+    g.clone()
+}
+
 /// Generates all one-edge extensions of `pattern` using `vocab`,
 /// deduplicated by isomorphism class. The `payload` stored with each
 /// candidate is the parent's index, letting the miner seed support
-/// counting from the parent's TID list.
+/// counting from the parent's TID list. Returns the number of
+/// extensions probed in `acc`.
 pub fn extend_pattern(
     pattern: &Graph,
     vocab: &[EdgeVocab],
     parent_idx: usize,
     pairs: Option<&PairFilter>,
     acc: &mut IsoClassMap<Vec<usize>>,
-) {
+) -> usize {
+    let mut probes = 0;
     let vertices: Vec<_> = pattern.vertices().collect();
     // Incident edges of each vertex relative to itself, with the far
     // endpoint — the pair-filter probes reuse these across the whole
@@ -147,16 +205,22 @@ pub fn extend_pattern(
             f.allows(s_vl, rel, new_rel, same_far)
         })
     };
+    // Each extension is probed by the code of the pattern's edge list plus
+    // the new edge; the extended graph is built only for a new class.
+    let mut parts = Parts::of(pattern, &vertices);
+    let fresh = vertices.len() as u32;
     for (vi, &v) in vertices.iter().enumerate() {
         let vl = pattern.vertex_label(v);
+        let vi32 = vi as u32;
         for ev in vocab {
             // v --(label)--> new vertex
             if ev.src == vl {
                 if pair_ok(vi, (0, ev.label.0, ev.dst.0), None) {
-                    let mut g = pattern.clone();
-                    let nv = g.add_vertex(ev.dst);
-                    g.add_edge(v, nv, ev.label);
-                    acc.entry_or_insert_with(&g, Vec::new).push(parent_idx);
+                    let code = parts.code_with(Some(ev.dst), [vi32, fresh, ev.label.0]);
+                    let extended = || with_edge(pattern, Some(v), None, ev.label, ev.dst);
+                    acc.entry_by_code_or_insert_with(&code, extended, Vec::new)
+                        .push(parent_idx);
+                    probes += 1;
                 }
                 // v --(label)--> existing vertex u (cycle-closing) and
                 // self-loop when src == dst labels allow it.
@@ -184,21 +248,25 @@ pub fn extend_pattern(
                     if !ok {
                         continue;
                     }
-                    let mut g = pattern.clone();
-                    g.add_edge(v, u, ev.label);
-                    acc.entry_or_insert_with(&g, Vec::new).push(parent_idx);
+                    let code = parts.code_with(None, [vi32, ui as u32, ev.label.0]);
+                    let extended = || with_edge(pattern, Some(v), Some(u), ev.label, ev.dst);
+                    acc.entry_by_code_or_insert_with(&code, extended, Vec::new)
+                        .push(parent_idx);
+                    probes += 1;
                 }
             }
             // new vertex --(label)--> v  (the mirror case; existing-to-
             // existing was covered above from the source side).
             if ev.dst == vl && pair_ok(vi, (1, ev.label.0, ev.src.0), None) {
-                let mut g = pattern.clone();
-                let nv = g.add_vertex(ev.src);
-                g.add_edge(nv, v, ev.label);
-                acc.entry_or_insert_with(&g, Vec::new).push(parent_idx);
+                let code = parts.code_with(Some(ev.src), [fresh, vi32, ev.label.0]);
+                let extended = || with_edge(pattern, None, Some(v), ev.label, ev.src);
+                acc.entry_by_code_or_insert_with(&code, extended, Vec::new)
+                    .push(parent_idx);
+                probes += 1;
             }
         }
     }
+    probes
 }
 
 /// Builds the two-vertex single-edge pattern graph for a vocabulary
@@ -213,32 +281,13 @@ pub fn vocab_graph(ev: EdgeVocab) -> Graph {
 }
 
 /// All connected k-edge subgraphs of `g` obtained by deleting exactly one
-/// edge (dropping orphaned vertices). Used for downward-closure checks:
-/// disconnecting deletions are skipped because FSG's frequent set only
-/// contains connected patterns.
+/// edge (dropping orphaned vertices). Disconnecting deletions are skipped
+/// because FSG's frequent set only contains connected patterns.
 pub fn connected_sub_patterns(g: &Graph) -> Vec<Graph> {
-    sub_patterns(g, false)
-}
-
-/// As [`connected_sub_patterns`], but without the subgraph obtained by
-/// deleting the **last** edge. Candidates are built as a frequent parent
-/// plus one appended edge, so that deletion reproduces the parent — a
-/// pattern already known frequent that the miner's closure check can skip
-/// (one fewer subgraph build, invariant hash, and iso-class probe per
-/// candidate).
-pub fn closure_sub_patterns(g: &Graph) -> Vec<Graph> {
-    sub_patterns(g, true)
-}
-
-fn sub_patterns(g: &Graph, skip_last: bool) -> Vec<Graph> {
-    let mut edges: Vec<_> = g.edges().collect();
-    let all: Vec<_> = edges.clone();
-    if skip_last {
-        edges.pop();
-    }
+    let edges: Vec<_> = g.edges().collect();
     let mut out = Vec::new();
     for &skip in &edges {
-        let keep: Vec<_> = all.iter().copied().filter(|&e| e != skip).collect();
+        let keep: Vec<_> = edges.iter().copied().filter(|&e| e != skip).collect();
         if keep.is_empty() {
             continue;
         }
@@ -248,6 +297,67 @@ fn sub_patterns(g: &Graph, skip_last: bool) -> Vec<Graph> {
         }
     }
     out
+}
+
+/// The downward-closure check's sub-patterns of candidate `g`: visits the
+/// canonical code of each of [`connected_sub_patterns`] except the one
+/// obtained by deleting the **last** edge. Candidates are built as a
+/// frequent parent plus one appended edge, so that deletion reproduces
+/// the parent, which is known frequent.
+///
+/// The codes come straight from `g`'s edge list, with no sub-pattern
+/// graph built. Stops at the first `visit` returning `false` and returns
+/// `false` then, `true` otherwise.
+pub fn closure_sub_codes(g: &Graph, mut visit: impl FnMut(&CanonicalCode) -> bool) -> bool {
+    const NONE: u32 = u32::MAX;
+    let slots = g.vertices().last().map_or(0, |v| v.index() + 1);
+    let edges: Vec<[u32; 3]> = g
+        .edges()
+        .map(|e| {
+            let (s, d, l) = g.edge(e);
+            [s.0, d.0, l.0]
+        })
+        .collect();
+    let mut renumber = vec![NONE; slots];
+    let mut labels: Vec<u32> = Vec::with_capacity(slots);
+    let mut sub: Vec<[u32; 3]> = Vec::with_capacity(edges.len());
+    let mut root: Vec<u32> = Vec::with_capacity(slots);
+    fn find(root: &mut [u32], mut v: u32) -> u32 {
+        while root[v as usize] != v {
+            v = root[v as usize];
+        }
+        v
+    }
+    for skip in 0..edges.len().saturating_sub(1) {
+        renumber.fill(NONE);
+        labels.clear();
+        sub.clear();
+        for &[s, d, l] in edges[..skip].iter().chain(&edges[skip + 1..]) {
+            let mut dense = |v: u32| {
+                if renumber[v as usize] == NONE {
+                    renumber[v as usize] = labels.len() as u32;
+                    labels.push(g.vertex_label(VertexId(v)).0);
+                }
+                renumber[v as usize]
+            };
+            let (s, d) = (dense(s), dense(d));
+            sub.push([s, d, l]);
+        }
+        root.clear();
+        root.extend(0..labels.len() as u32);
+        let mut components = labels.len();
+        for &[s, d, _] in &sub {
+            let (a, b) = (find(&mut root, s), find(&mut root, d));
+            if a != b {
+                root[a as usize] = b;
+                components -= 1;
+            }
+        }
+        if components == 1 && !visit(&CanonicalCode::of_parts(&labels, &sub)) {
+            return false;
+        }
+    }
+    true
 }
 
 #[cfg(test)]
@@ -360,6 +470,40 @@ mod tests {
         assert_eq!(subs.len(), 4); // every deletion leaves a path
         for s in &subs {
             assert!(are_isomorphic(s, &shapes::chain(3, 0, 1)));
+        }
+    }
+
+    /// The closure check's codes are those of the sub-pattern graphs,
+    /// minus the last edge's deletion, and the visit stops on `false`.
+    #[test]
+    fn closure_sub_codes_match_sub_pattern_graphs() {
+        let mut looped = shapes::hub_and_spoke(3, 0, 1);
+        let hub = looped.vertices().next().unwrap();
+        looped.add_edge(hub, hub, ELabel(2));
+        let spoke = looped.vertices().nth(2).unwrap();
+        looped.add_edge(spoke, hub, ELabel(1));
+        for g in [shapes::cycle(4, 0, 1), shapes::chain(3, 0, 1), looped] {
+            let last = g.edges().last().unwrap();
+            let mut want: Vec<Vec<u64>> = Vec::new();
+            for skip in g.edges().filter(|&e| e != last) {
+                let keep: Vec<_> = g.edges().filter(|&e| e != skip).collect();
+                let (sub, _) = g.edge_subgraph(&keep);
+                if tnet_graph::traverse::is_connected(&sub) {
+                    want.push(CanonicalCode::of(&sub).words().to_vec());
+                }
+            }
+            let mut got: Vec<Vec<u64>> = Vec::new();
+            assert!(closure_sub_codes(&g, |c| {
+                got.push(c.words().to_vec());
+                true
+            }));
+            assert_eq!(got, want, "{g:?}");
+            let mut visits = 0;
+            assert!(!closure_sub_codes(&g, |_| {
+                visits += 1;
+                false
+            }));
+            assert_eq!(visits, 1);
         }
     }
 

@@ -9,11 +9,12 @@
 //!
 //! Differences from the original implementation (see DESIGN.md):
 //! candidate generation is single-edge extension (complete for connected
-//! patterns) instead of core joining, and pattern identity uses
-//! invariant-hash + exact-isomorphism classes instead of canonical codes.
+//! patterns) instead of core joining, and pattern identity is a canonical
+//! code built by colour refinement and individualization
+//! ([`tnet_graph::canon::CanonicalCode`]) rather than FSG's own labelling.
 
 use crate::embed::{grow_store, level1_store, seed_cap, txn_cap, EmbStore, Grown};
-use crate::extend::{closure_sub_patterns, extend_pattern, EdgeVocab, PairFilter};
+use crate::extend::{closure_sub_codes, extend_pattern, EdgeVocab, PairFilter};
 use crate::tidset::{self, TidBitset};
 use crate::types::{FrequentPattern, FsgConfig, FsgError, FsgOutput, MiningStats};
 use tnet_exec::Exec;
@@ -37,6 +38,7 @@ fn candidate_bytes(vertices: usize, edges: usize, tids: usize) -> usize {
 /// order.
 #[derive(Default)]
 struct VerdictStats {
+    iso_class_checks: usize,
     iso_tests: usize,
     iso_nodes: u64,
     iso_nodes_max: u64,
@@ -280,7 +282,8 @@ pub fn mine_source<T: TxnSource + ?Sized>(
         let mut candidates: IsoClassMap<Vec<usize>> = IsoClassMap::new();
         let mut estimated = 0usize;
         for (idx, p) in frequent.iter().enumerate() {
-            extend_pattern(&p.graph, &vocab, idx, pair_filter.as_ref(), &mut candidates);
+            stats.iso_class_checks +=
+                extend_pattern(&p.graph, &vocab, idx, pair_filter.as_ref(), &mut candidates);
             estimated = candidates.len() * candidate_bytes(level + 1, level, min_support.max(16));
             if let Some(budget) = cfg.memory_budget {
                 if estimated > budget {
@@ -312,6 +315,7 @@ pub fn mine_source<T: TxnSource + ?Sized>(
         for (i, p) in frequent.iter().enumerate() {
             prev_index.insert(p.graph.clone(), i);
         }
+        stats.iso_class_checks += frequent.len();
         // Bitset TID lists for parents dense enough to cross over (see
         // `tidset::use_bitset`): the all-parents intersection then ANDs
         // words instead of merging sorted lists. Sparse parents keep
@@ -388,11 +392,18 @@ pub fn mine_source<T: TxnSource + ?Sized>(
                 // below: a transaction missing *any* sub-pattern cannot
                 // contain the candidate.
                 let mut closure_parents: Vec<usize> = Vec::new();
-                for sub in closure_sub_patterns(candidate) {
-                    match prev_index.get(&sub) {
-                        None => return Verdict::Pruned(vstats),
-                        Some(&pi) => closure_parents.push(pi),
+                let closed = closure_sub_codes(candidate, |code| {
+                    vstats.iso_class_checks += 1;
+                    match prev_index.get_by_code(code) {
+                        None => false,
+                        Some(&pi) => {
+                            closure_parents.push(pi);
+                            true
+                        }
                     }
+                });
+                if !closed {
+                    return Verdict::Pruned(vstats);
                 }
                 // Refine the supporting set with the closure parents the
                 // generation step didn't know about. Re-gating afterwards
@@ -489,6 +500,7 @@ pub fn mine_source<T: TxnSource + ?Sized>(
                 // Built lazily: most candidates never hit an unverified
                 // miss.
                 let mut alts: Option<Vec<(usize, Extension, Vec<usize>)>> = None;
+                let alt_checks = std::cell::Cell::new(0usize);
                 let build_alts = || {
                     let edges: Vec<_> = candidate.edges().collect();
                     let mut out: Vec<(usize, Extension, Vec<usize>)> = Vec::new();
@@ -504,6 +516,7 @@ pub fn mine_source<T: TxnSource + ?Sized>(
                         if !tnet_graph::traverse::is_connected(&sub) {
                             continue;
                         }
+                        alt_checks.set(alt_checks.get() + 1);
                         let Some(&pi) = prev_index.get(&sub) else {
                             continue;
                         };
@@ -698,6 +711,7 @@ pub fn mine_source<T: TxnSource + ?Sized>(
                         }
                     }
                 }
+                vstats.iso_class_checks += alt_checks.get();
                 Verdict::Counted {
                     tids,
                     stores: new_stores,
@@ -713,6 +727,7 @@ pub fn mine_source<T: TxnSource + ?Sized>(
             match verdict {
                 Verdict::Pruned(vstats) => {
                     stats.closure_pruned += 1;
+                    stats.iso_class_checks += vstats.iso_class_checks;
                     stats.tid_intersection_skips += vstats.tid_intersection_skips;
                     stats.bitset_intersections += vstats.bitset_intersections;
                 }
@@ -721,6 +736,7 @@ pub fn mine_source<T: TxnSource + ?Sized>(
                     stores: st,
                     stats: vstats,
                 } => {
+                    stats.iso_class_checks += vstats.iso_class_checks;
                     stats.iso_tests += vstats.iso_tests;
                     stats.iso_nodes += vstats.iso_nodes;
                     stats.iso_nodes_max = stats.iso_nodes_max.max(vstats.iso_nodes_max);

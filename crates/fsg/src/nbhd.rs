@@ -129,6 +129,8 @@ pub struct NbhdStats {
     /// Always 0: the FSG loop has no fingerprint filter. Kept so readers
     /// of the old counter still compile.
     pub fingerprint_rejects: usize,
+    /// Pattern iso-class map probes in the FSG level loop.
+    pub iso_class_checks: usize,
     /// Scratch VF2 deciders executed.
     pub iso_tests: usize,
     /// Parent embeddings extended by one edge in place of scratch VF2.
@@ -472,6 +474,7 @@ pub fn mine_frozen(fg: TxnRef<'_>, cfg: &NbhdConfig, exec: &Exec) -> Result<Nbhd
         candidates_per_level: out.stats.candidates_per_level,
         frequent_per_level: out.stats.frequent_per_level,
         fingerprint_rejects: 0,
+        iso_class_checks: out.stats.iso_class_checks,
         iso_tests: out.stats.iso_tests,
         embeddings_extended: out.stats.embeddings_extended,
         embeddings_spilled: out.stats.embeddings_spilled,

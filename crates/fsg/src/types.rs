@@ -118,6 +118,11 @@ pub struct MiningStats {
     pub frequent_per_level: Vec<usize>,
     /// Candidates eliminated by downward-closure pruning.
     pub closure_pruned: usize,
+    /// Pattern iso-class map probes in the level loop: one per generated
+    /// extension, per indexed frequent pattern, and per closure or
+    /// alternate-anchor sub-pattern lookup. Each costs one canonical
+    /// code; the count is the same at any thread count.
+    pub iso_class_checks: usize,
     /// Subgraph-isomorphism (support-count) tests executed. With
     /// embedding propagation enabled these only happen when a truncated
     /// (inexact) embedding list yields no extension — an unverified "no"
@@ -165,6 +170,7 @@ impl MiningStats {
         metrics.add("fsg.candidates", self.total_candidates() as u64);
         metrics.add("fsg.frequent", self.total_frequent() as u64);
         metrics.add("fsg.closure_pruned", self.closure_pruned as u64);
+        metrics.add("fsg.iso_class_checks", self.iso_class_checks as u64);
         metrics.add("fsg.iso_tests", self.iso_tests as u64);
         metrics.add("fsg.iso_nodes", self.iso_nodes);
         metrics.record_max("fsg.iso_nodes_max", self.iso_nodes_max);

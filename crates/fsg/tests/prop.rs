@@ -1,24 +1,39 @@
-//! Property tests for the FSG miner: mined supports must be exact (a
-//! recount via independent isomorphism checks agrees), patterns must be
-//! connected, and support must be antitone under pattern extension.
+//! Seeded property tests for the FSG miner: mined supports must be exact
+//! (a recount via independent isomorphism checks agrees), patterns must
+//! be connected, and support must be antitone under pattern extension.
+//! Each property runs a fixed number of random cases from its own seeded
+//! [`StdRng`], so a failure reproduces identically; assertion messages
+//! name the failing case.
 
-// Gated: needs the external `proptest` crate (see the `prop` feature
-// note in Cargo.toml). Off by default so the workspace builds offline.
-#![cfg(feature = "prop")]
-use proptest::prelude::*;
 use tnet_fsg::{mine, FsgConfig, Support};
 use tnet_graph::graph::{ELabel, Graph, VLabel, VertexId};
-use tnet_graph::iso::has_embedding;
+use tnet_graph::iso::{are_isomorphic, has_embedding};
+use tnet_graph::rng::{Rng, SliceRandom, StdRng};
 use tnet_graph::traverse::is_connected;
 
+/// Random cases per property.
+const CASES: usize = 24;
+
+/// A generated edge: (src index, dst index, edge label).
 type RawEdge = (usize, usize, u32);
 
-fn raw_txn(max_v: usize, max_e: usize) -> impl Strategy<Value = (Vec<u32>, Vec<RawEdge>)> {
-    (2..=max_v).prop_flat_map(move |nv| {
-        let vlabels = proptest::collection::vec(0u32..2, nv);
-        let edges = proptest::collection::vec((0..nv, 0..nv, 0u32..3), 1..=max_e);
-        (vlabels, edges)
-    })
+/// A small random transaction: `2..=max_v` vertices over two labels and
+/// `1..=max_e` edges over three. Endpoints are drawn independently, so
+/// self-loops occur; parallel duplicates are removed by [`build`].
+fn raw_txn(rng: &mut StdRng, max_v: usize, max_e: usize) -> (Vec<u32>, Vec<RawEdge>) {
+    let nv = rng.gen_range(2..=max_v);
+    let vlabels = (0..nv).map(|_| rng.gen_range(0..2u32)).collect();
+    let ne = rng.gen_range(1..=max_e);
+    let edges = (0..ne)
+        .map(|_| {
+            (
+                rng.gen_range(0..nv),
+                rng.gen_range(0..nv),
+                rng.gen_range(0..3u32),
+            )
+        })
+        .collect();
+    (vlabels, edges)
 }
 
 fn build(vlabels: &[u32], edges: &[RawEdge]) -> Graph {
@@ -32,45 +47,60 @@ fn build(vlabels: &[u32], edges: &[RawEdge]) -> Graph {
     g
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// A transaction set of `txns` (a half-open range) random transactions.
+fn txn_set(
+    rng: &mut StdRng,
+    txns: std::ops::Range<usize>,
+    max_v: usize,
+    max_e: usize,
+) -> Vec<Graph> {
+    let count = rng.gen_range(txns);
+    (0..count)
+        .map(|_| {
+            let (vl, es) = raw_txn(rng, max_v, max_e);
+            build(&vl, &es)
+        })
+        .collect()
+}
 
-    /// Supports reported by the miner equal an independent recount, and
-    /// every pattern is connected and meets the threshold.
-    #[test]
-    fn supports_are_exact(
-        txns_raw in proptest::collection::vec(raw_txn(5, 7), 2..6),
-        min_support in 1usize..3,
-    ) {
-        let txns: Vec<Graph> = txns_raw.iter().map(|(vl, es)| build(vl, es)).collect();
+/// Supports reported by the miner equal an independent recount, and
+/// every pattern is connected and meets the threshold.
+#[test]
+fn supports_are_exact() {
+    let mut rng = StdRng::seed_from_u64(1);
+    for case in 0..CASES {
+        let txns = txn_set(&mut rng, 2..6, 5, 7);
+        let min_support = rng.gen_range(1..3usize);
         let cfg = FsgConfig::default()
             .with_support(Support::Count(min_support))
             .with_max_edges(3);
         let out = mine(&txns, &cfg).unwrap();
         for p in &out.patterns {
-            prop_assert!(is_connected(&p.graph));
-            prop_assert!(p.support >= min_support);
+            assert!(is_connected(&p.graph), "case {case}");
+            assert!(p.support >= min_support, "case {case}");
             let recount = txns.iter().filter(|t| has_embedding(&p.graph, t)).count();
-            prop_assert_eq!(
+            assert_eq!(
                 recount, p.support,
-                "support mismatch for {:?}", p.graph
+                "case {case}: support mismatch for {:?}",
+                p.graph
             );
             // TID list agrees with support and is sorted unique.
-            prop_assert_eq!(p.tids.len(), p.support);
-            prop_assert!(p.tids.windows(2).all(|w| w[0] < w[1]));
+            assert_eq!(p.tids.len(), p.support, "case {case}");
+            assert!(p.tids.windows(2).all(|w| w[0] < w[1]), "case {case}");
             for &tid in &p.tids {
-                prop_assert!(has_embedding(&p.graph, &txns[tid as usize]));
+                assert!(has_embedding(&p.graph, &txns[tid as usize]), "case {case}");
             }
         }
     }
+}
 
-    /// Mining is complete at level 1: every frequent single-edge class
-    /// appears in the output.
-    #[test]
-    fn level1_complete(
-        txns_raw in proptest::collection::vec(raw_txn(4, 5), 2..5),
-    ) {
-        let txns: Vec<Graph> = txns_raw.iter().map(|(vl, es)| build(vl, es)).collect();
+/// Mining is complete at level 1: every frequent single-edge class
+/// appears in the output.
+#[test]
+fn level1_complete() {
+    let mut rng = StdRng::seed_from_u64(2);
+    for case in 0..CASES {
+        let txns = txn_set(&mut rng, 2..5, 4, 5);
         let cfg = FsgConfig::default()
             .with_support(Support::Count(1))
             .with_max_edges(1);
@@ -80,63 +110,73 @@ proptest! {
         for t in &txns {
             for e in t.edges() {
                 let (sub, _) = t.edge_subgraph(&[e]);
-                prop_assert!(
-                    out.patterns.iter().any(|p| has_embedding(&p.graph, &sub)
-                        && has_embedding(&sub, &p.graph)),
-                    "missing 1-edge pattern"
+                assert!(
+                    out.patterns.iter().any(|p| are_isomorphic(&p.graph, &sub)),
+                    "case {case}: missing 1-edge pattern {sub:?}"
                 );
             }
         }
     }
+}
 
-    /// Propagated support counting is invisible in the output: any
-    /// embedding cap — including caps of 1–2 that truncate nearly every
-    /// list and force the inexact-seed re-verification path — mines the
-    /// same patterns with the same TID lists as scratch VF2 (cap 0).
-    #[test]
-    fn embedding_propagation_matches_scratch(
-        txns_raw in proptest::collection::vec(raw_txn(5, 8), 2..6),
-        min_support in 1usize..3,
-        cap in prop_oneof![Just(1usize), Just(2), Just(4), Just(256)],
-    ) {
-        let txns: Vec<Graph> = txns_raw.iter().map(|(vl, es)| build(vl, es)).collect();
-        let cfg = |cap: usize| FsgConfig::default()
-            .with_support(Support::Count(min_support))
-            .with_max_edges(4)
-            .with_embedding_cap(cap);
+/// Propagated support counting is invisible in the output: any
+/// embedding cap — including caps of 1–2 that truncate nearly every
+/// list and force the inexact-seed re-verification path — mines the
+/// same patterns with the same TID lists as scratch VF2 (cap 0).
+#[test]
+fn embedding_propagation_matches_scratch() {
+    let mut rng = StdRng::seed_from_u64(3);
+    for case in 0..CASES {
+        let txns = txn_set(&mut rng, 2..6, 5, 8);
+        let min_support = rng.gen_range(1..3usize);
+        let cap = *[1usize, 2, 4, 256].choose(&mut rng).unwrap();
+        let cfg = |cap: usize| {
+            FsgConfig::default()
+                .with_support(Support::Count(min_support))
+                .with_max_edges(4)
+                .with_embedding_cap(cap)
+        };
         let scratch = mine(&txns, &cfg(0)).unwrap();
         let prop = mine(&txns, &cfg(cap)).unwrap();
-        prop_assert_eq!(prop.patterns.len(), scratch.patterns.len());
+        assert_eq!(
+            prop.patterns.len(),
+            scratch.patterns.len(),
+            "case {case}, cap {cap}"
+        );
         for (a, b) in prop.patterns.iter().zip(&scratch.patterns) {
-            prop_assert_eq!(&a.tids, &b.tids);
-            prop_assert_eq!(a.support, b.support);
-            prop_assert!(tnet_graph::iso::are_isomorphic(&a.graph, &b.graph));
+            assert_eq!(a.tids, b.tids, "case {case}, cap {cap}");
+            assert_eq!(a.support, b.support, "case {case}, cap {cap}");
+            assert!(are_isomorphic(&a.graph, &b.graph), "case {case}, cap {cap}");
         }
     }
+}
 
-    /// Raising the support threshold can only shrink the result set.
-    #[test]
-    fn support_threshold_monotone(
-        txns_raw in proptest::collection::vec(raw_txn(4, 6), 3..6),
-    ) {
-        let txns: Vec<Graph> = txns_raw.iter().map(|(vl, es)| build(vl, es)).collect();
-        let lo = mine(
-            &txns,
-            &FsgConfig::default().with_support(Support::Count(1)).with_max_edges(3),
-        )
-        .unwrap();
-        let hi = mine(
-            &txns,
-            &FsgConfig::default().with_support(Support::Count(2)).with_max_edges(3),
-        )
-        .unwrap();
-        prop_assert!(hi.patterns.len() <= lo.patterns.len());
+/// Raising the support threshold can only shrink the result set.
+#[test]
+fn support_threshold_monotone() {
+    let mut rng = StdRng::seed_from_u64(4);
+    for case in 0..CASES {
+        let txns = txn_set(&mut rng, 3..6, 4, 6);
+        let at = |support: usize| {
+            mine(
+                &txns,
+                &FsgConfig::default()
+                    .with_support(Support::Count(support))
+                    .with_max_edges(3),
+            )
+            .unwrap()
+        };
+        let (lo, hi) = (at(1), at(2));
+        assert!(hi.patterns.len() <= lo.patterns.len(), "case {case}");
         // Every high-support pattern is also found at the lower threshold.
         for p in &hi.patterns {
-            prop_assert!(lo
-                .patterns
-                .iter()
-                .any(|q| tnet_graph::iso::are_isomorphic(&p.graph, &q.graph)));
+            assert!(
+                lo.patterns
+                    .iter()
+                    .any(|q| are_isomorphic(&p.graph, &q.graph)),
+                "case {case}: {:?} lost at support 1",
+                p.graph
+            );
         }
     }
 }

@@ -101,8 +101,8 @@ pub struct GraphBuilder {
     live_vertices: usize,
     live_edges: usize,
     /// Memoized Weisfeiler–Leman invariant hash (see `canon`). Cleared by
-    /// every mutation; carried across `clone()` so iso-class lookups on a
-    /// pattern and its stored copies hash at most once.
+    /// every mutation; carried across `clone()` so a pattern and its
+    /// stored copies hash at most once.
     pub(crate) hash_cache: std::sync::OnceLock<u64>,
 }
 

@@ -20,7 +20,8 @@
 //! * [`traverse`] — BFS reachability, weakly connected components;
 //! * [`iso`] — VF2-style subgraph monomorphism & graph isomorphism,
 //!   implementing the paper's §4 pattern-identity definition;
-//! * [`canon`] — isomorphism-invariant hashing and iso-class keyed maps
+//! * [`canon`] — exact canonical codes, isomorphism-invariant hashing and
+//!   iso-class keyed maps
 //!   (pattern dedup for the miners);
 //! * [`generate`] — random graphs, planted-pattern composites (footnote 2
 //!   recall experiment), and the paper's "known good shapes";

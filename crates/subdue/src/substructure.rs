@@ -466,7 +466,7 @@ impl DeferredChild {
 /// The expansion core behind [`expand_counted`]: grown instances are
 /// bucketed by [`ExtKey`] — how the new edge attaches relative to the
 /// instance's pattern mapping — which determines the child pattern up to
-/// the shared parent, so the pattern graph (and its invariant hash) is
+/// the shared parent, so the pattern graph (and its canonical code) is
 /// derived once per key instead of once per instance. Keys whose
 /// patterns land in the same isomorphism class are then merged; the map
 /// translation onto the class representative's vertex order is recorded

@@ -55,6 +55,33 @@ fn fsg_output_identical_at_any_thread_count() {
     );
 }
 
+/// `fsg.iso_class_checks` counts pattern iso-class map probes, and every
+/// probe belongs to one candidate or level, never to a worker: the
+/// stats field and the trace metric are the same at 1, 2 and 8 threads.
+#[test]
+fn fsg_iso_class_checks_identical_at_any_thread_count() {
+    let txns = graph_transactions();
+    let cfg = FsgConfig::default()
+        .with_support(Support::Count(4))
+        .with_max_edges(4);
+    let mut seen = Vec::new();
+    for threads in THREAD_COUNTS {
+        let exec = Exec::new(threads);
+        let out = mine_with(&txns, &cfg, &exec).unwrap();
+        assert_eq!(
+            exec.metrics().get("fsg.iso_class_checks"),
+            out.stats.iso_class_checks as u64,
+            "trace metric at {threads} threads"
+        );
+        seen.push(out.stats.iso_class_checks);
+    }
+    assert!(seen[0] > 0, "the workload probes no pattern classes");
+    assert!(
+        seen.iter().all(|&c| c == seen[0]),
+        "iso-class checks at 1, 2, 8 threads: {seen:?}"
+    );
+}
+
 /// The frozen-CSR snapshot is a pure representation change: every miner
 /// must produce byte-identical output whether it traverses the arena
 /// builder directly (the generic cores on `&txns[..]` / `&g`) or the
