@@ -112,11 +112,9 @@ grep -q 'fsg.iso_class_checks' /tmp/tnet_ci_trace.out
 grep -q '^frozen graphs:' /tmp/tnet_ci_trace.out
 grep -q 'graph.freeze_count' /tmp/tnet_ci_trace.out
 grep -q 'graph.csr_bytes' /tmp/tnet_ci_trace.out
-# Data-layout counters (DESIGN.md §14): fingerprint table bytes, bitset
-# intersections, and the L2 chunk-size hint all surface in the same
-# namespace.
+# Data-layout counters (DESIGN.md §14): bitset intersections and the L2
+# chunk-size hint surface in the same namespace.
 grep -q '^data layout:' /tmp/tnet_ci_trace.out
-grep -q 'graph.fingerprint_bytes' /tmp/tnet_ci_trace.out
 grep -q 'fsg.bitset_intersections' /tmp/tnet_ci_trace.out
 grep -q 'exec.chunk_items' /tmp/tnet_ci_trace.out
 rm -f /tmp/tnet_ci_trace.out

@@ -513,7 +513,6 @@ fn validate(path: &str) -> Result<(), String> {
         "graph.freeze_count",
         "graph.csr_bytes",
         "graph.adj_binary_searches",
-        "graph.fingerprint_bytes",
         "exec.chunk_items",
         "fsg.bitset_intersections",
         "fsg.soa_bytes",

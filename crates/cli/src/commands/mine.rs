@@ -210,11 +210,9 @@ pub fn run(args: &Args) -> Result<(), CliError> {
     }
     if verbose {
         outln!(
-            "frozen graphs: {} freezes, {} CSR bytes, {} fingerprint bytes, \
-             {} adjacency binary searches",
+            "frozen graphs: {} freezes, {} CSR bytes, {} adjacency binary searches",
             frozen_delta.freeze_count,
             frozen_delta.csr_bytes,
-            frozen_delta.fingerprint_bytes,
             frozen_delta.adj_binary_searches,
         );
     }

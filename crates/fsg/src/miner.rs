@@ -92,6 +92,42 @@ fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
     out
 }
 
+/// Narrows the ascending TID list `start` to the TIDs that every parent
+/// in `others` (indices into `frequent`) also holds. When each of
+/// `others` has a bitset and `start_words` yields `start` as bitset
+/// words, the sets are ANDed word by word (branchless; one
+/// `bitset_intersections` per parent); otherwise the sorted lists are
+/// merged. Both paths emit the same ascending list.
+fn narrow_tids(
+    start: &[u32],
+    start_words: impl FnOnce() -> Option<Vec<u64>>,
+    others: &[usize],
+    frequent: &[FrequentPattern],
+    bitsets: &[Option<TidBitset>],
+    vstats: &mut VerdictStats,
+) -> Vec<u32> {
+    let dense = !others.is_empty() && others.iter().all(|&i| bitsets[i].is_some());
+    if let Some(mut acc) = dense.then(start_words).flatten() {
+        for &pi in others {
+            let bits = bitsets[pi].as_ref().expect("every parent is dense");
+            tidset::and_words(&mut acc, bits.words());
+            vstats.bitset_intersections += 1;
+        }
+        return tidset::materialize(&acc);
+    }
+    let Some((&first, rest)) = others.split_first() else {
+        return start.to_vec();
+    };
+    let mut inter = intersect_sorted(start, &frequent[first].tids);
+    for &pi in rest {
+        if inter.is_empty() {
+            break;
+        }
+        inter = intersect_sorted(&inter, &frequent[pi].tids);
+    }
+    inter
+}
+
 /// Mines all frequent connected subgraphs of `transactions` on the
 /// current thread. Equivalent to [`mine_with`] on a sequential pool.
 ///
@@ -348,26 +384,15 @@ pub fn mine_source<T: TxnSource + ?Sized>(
                     .map(|&i| frequent[i].tids.len())
                     .min()
                     .expect("candidate without parents");
-                let inter: Vec<u32> =
-                    if distinct.len() > 1 && distinct.iter().all(|&i| bitsets[i].is_some()) {
-                        // Branchless word ANDs; materializing ascending
-                        // reproduces the sorted merge's output exactly.
-                        let mut acc = bitsets[distinct[0]].as_ref().unwrap().words().to_vec();
-                        for &pi in &distinct[1..] {
-                            tidset::and_words(&mut acc, bitsets[pi].as_ref().unwrap().words());
-                            vstats.bitset_intersections += 1;
-                        }
-                        tidset::materialize(&acc)
-                    } else {
-                        let mut inter: Vec<u32> = frequent[distinct[0]].tids.clone();
-                        for &pi in &distinct[1..] {
-                            if inter.is_empty() {
-                                break;
-                            }
-                            inter = intersect_sorted(&inter, &frequent[pi].tids);
-                        }
-                        inter
-                    };
+                let first = distinct[0];
+                let inter = narrow_tids(
+                    &frequent[first].tids,
+                    || bitsets[first].as_ref().map(|b| b.words().to_vec()),
+                    &distinct[1..],
+                    &frequent,
+                    &bitsets,
+                    &mut vstats,
+                );
                 vstats.tid_intersection_skips = min_parent_len - inter.len();
                 // The intersection bounds support from above. When it is
                 // already below threshold the candidate cannot be
@@ -412,24 +437,17 @@ pub fn mine_source<T: TxnSource + ?Sized>(
                 closure_parents.retain(|pi| !distinct.contains(pi));
                 closure_parents.sort_unstable();
                 closure_parents.dedup();
-                let inter: Vec<u32> = if closure_parents.is_empty() {
+                let inter = if closure_parents.is_empty() {
                     inter
-                } else if closure_parents.iter().all(|&i| bitsets[i].is_some()) {
-                    let mut acc = TidBitset::from_sorted(&inter, txn_count).words().to_vec();
-                    for &pi in &closure_parents {
-                        tidset::and_words(&mut acc, bitsets[pi].as_ref().unwrap().words());
-                        vstats.bitset_intersections += 1;
-                    }
-                    tidset::materialize(&acc)
                 } else {
-                    let mut inter = inter;
-                    for &pi in &closure_parents {
-                        if inter.is_empty() {
-                            break;
-                        }
-                        inter = intersect_sorted(&inter, &frequent[pi].tids);
-                    }
-                    inter
+                    narrow_tids(
+                        &inter,
+                        || Some(TidBitset::from_sorted(&inter, txn_count).words().to_vec()),
+                        &closure_parents,
+                        &frequent,
+                        &bitsets,
+                        &mut vstats,
+                    )
                 };
                 vstats.tid_intersection_skips = min_parent_len - inter.len();
                 if inter.len() < min_support {

@@ -14,15 +14,13 @@
 //!   down to pattern sizes; see [`CanonicalCode::of`]).
 //! * [`invariant_hash`] is a Weisfeiler–Leman colour-refinement hash:
 //!   isomorphic graphs always hash equal, but equal hashes prove
-//!   nothing. [`IsoClassMap`] orders its classes by it, and output
-//!   digests are keyed by it, so its values never change.
-//! * [`IsoClassMap`] finds a graph's class by its code alone: no lookup
-//!   runs an isomorphism search, and the WL hash is computed only when a
-//!   new class is inserted.
+//!   nothing. Output digests are keyed by it, so its values never change.
+//! * [`IsoClassMap`] finds a graph's class by its code alone (no lookup
+//!   runs an isomorphism search) and iterates in insertion order, so a
+//!   miner's output order follows its input alone.
 
 use crate::graph::{Graph, VertexId};
 use crate::hash::{FxHashMap, FxHasher};
-use std::collections::hash_map::Entry;
 use std::hash::Hasher;
 use std::ops::{Deref, DerefMut};
 
@@ -45,18 +43,9 @@ const WL_ROUNDS: usize = 3;
 
 /// An isomorphism-invariant 64-bit hash of a labeled directed multigraph:
 /// isomorphic graphs always hash equal; unequal hashes prove
-/// non-isomorphism.
-///
-/// The result is memoized on the graph (invalidated by mutation, carried
-/// by `clone()`), so hashing a pattern and its stored copies runs the WL
-/// refinement once.
+/// non-isomorphism. It depends only on labels and structure, never on id
+/// numbering.
 pub fn invariant_hash(g: &Graph) -> u64 {
-    *g.hash_cache.get_or_init(|| wl_hash(g))
-}
-
-/// The WL refinement behind [`invariant_hash`]. It depends only on
-/// labels and structure, never on id numbering.
-fn wl_hash(g: &Graph) -> u64 {
     if g.vertex_count() == 0 {
         return mix(&[0x9e37_79b9]);
     }
@@ -577,8 +566,6 @@ struct Class {
     /// End of the class's code in the arena; it starts where the previous
     /// class's ends.
     code_end: usize,
-    /// Next class sharing this class's WL hash, in insertion order.
-    next_in_bucket: u32,
     /// Next class whose code hashes like this one's.
     next_same_code: u32,
 }
@@ -587,14 +574,10 @@ struct Class {
 ///
 /// A lookup computes the graph's [`CanonicalCode`], probes an index from
 /// the code's hash to the classes, and compares the stored code word for
-/// word. Codes live packed in one arena. Classes are also chained under
-/// their [`invariant_hash`], computed once per inserted class, and
-/// [`IsoClassMap::iter`] walks that table: the iteration order is
-/// arbitrary but deterministic, and the miners' output order (FSG's
-/// candidate order, ties in its final sort) depends on it.
+/// word. Codes live packed in one arena. [`IsoClassMap::iter`] yields the
+/// classes in insertion order, so the miners' output order (FSG's
+/// candidate order, ties in its final sort) depends on their input alone.
 pub struct IsoClassMap<V> {
-    /// WL hash → first class with that hash.
-    buckets: FxHashMap<u64, u32>,
     /// Code hash → a class with that code hash (the rest are chained).
     by_code: FxHashMap<u64, u32>,
     classes: Vec<Class>,
@@ -605,7 +588,6 @@ pub struct IsoClassMap<V> {
 impl<V> Default for IsoClassMap<V> {
     fn default() -> Self {
         IsoClassMap {
-            buckets: FxHashMap::default(),
             by_code: FxHashMap::default(),
             classes: Vec::new(),
             codes: Vec::new(),
@@ -654,21 +636,8 @@ impl<V> IsoClassMap<V> {
         let id32 = u32::try_from(id).expect("fewer than 2^32 classes");
         self.codes.extend_from_slice(code.words());
         let next_same_code = self.by_code.insert(h, id32).unwrap_or(NONE);
-        match self.buckets.entry(invariant_hash(&g)) {
-            Entry::Vacant(e) => {
-                e.insert(id32);
-            }
-            Entry::Occupied(e) => {
-                let mut last = *e.get() as usize;
-                while self.classes[last].next_in_bucket != NONE {
-                    last = self.classes[last].next_in_bucket as usize;
-                }
-                self.classes[last].next_in_bucket = id32;
-            }
-        }
         self.classes.push(Class {
             code_end: self.codes.len(),
-            next_in_bucket: NONE,
             next_same_code,
         });
         self.entries.push((g, value));
@@ -744,44 +713,16 @@ impl<V> IsoClassMap<V> {
         &mut self.entries[class].1
     }
 
-    /// Class ids in iteration order: WL-hash table order, then insertion
-    /// order within a hash.
-    fn order(&self) -> impl Iterator<Item = usize> + '_ {
-        self.buckets.values().flat_map(move |&first| {
-            std::iter::successors(Some(first), move |&c| {
-                Some(self.classes[c as usize].next_in_bucket).filter(|&next| next != NONE)
-            })
-            .map(|c| c as usize)
-        })
-    }
-
-    /// Iterates over `(representative graph, value)` pairs in an
-    /// arbitrary but deterministic order.
+    /// Iterates over `(representative graph, value)` pairs in insertion
+    /// order.
     pub fn iter(&self) -> impl Iterator<Item = (&Graph, &V)> {
-        self.order().map(move |c| {
-            let (g, v) = &self.entries[c];
-            (g, v)
-        })
+        self.entries.iter().map(|(g, v)| (g, v))
     }
 
     /// Consumes the map, yielding `(representative, value)` pairs in
-    /// [`IsoClassMap::iter`]'s order. The pairs are permuted into that
-    /// order in place, so collecting them reuses the map's storage.
+    /// insertion order.
     pub fn into_iter_pairs(self) -> impl Iterator<Item = (Graph, V)> {
-        // rank[i]: the iteration position of whatever pair sits at i.
-        let mut rank = vec![0usize; self.entries.len()];
-        for (pos, class) in self.order().enumerate() {
-            rank[class] = pos;
-        }
-        let mut entries = self.entries;
-        for i in 0..entries.len() {
-            while rank[i] != i {
-                let j = rank[i];
-                entries.swap(i, j);
-                rank.swap(i, j);
-            }
-        }
-        entries.into_iter()
+        self.entries.into_iter()
     }
 }
 
@@ -997,10 +938,10 @@ mod tests {
         assert_eq!(*m.get(&cycle(5, 0)).unwrap(), 5);
     }
 
-    /// Classes whose WL hashes collide share a bucket in insertion order,
-    /// and `iter` and `into_iter_pairs` agree on the order.
+    /// `iter` and `into_iter_pairs` yield classes in insertion order,
+    /// also for classes whose WL hashes collide.
     #[test]
-    fn iteration_order_is_bucket_then_insertion() {
+    fn iteration_follows_insertion_order() {
         // Two directed 6-vertex graphs WL cannot tell apart: a 6-cycle
         // and two 3-cycles.
         let c6 = cycle(6, 0);
@@ -1012,15 +953,14 @@ mod tests {
         assert_eq!(invariant_hash(&c6), invariant_hash(&two_c3));
         let mut m: IsoClassMap<usize> = IsoClassMap::new();
         m.insert(cycle(4, 0), 0);
-        m.insert(c6.clone(), 1);
+        m.insert(c6, 1);
         m.insert(cycle(2, 0), 2);
         m.insert(two_c3, 3);
         assert_eq!(m.len(), 4);
         let order: Vec<usize> = m.iter().map(|(_, &v)| v).collect();
-        let pos = |v: usize| order.iter().position(|&x| x == v).unwrap();
-        assert_eq!(pos(1) + 1, pos(3), "{order:?}");
+        assert_eq!(order, [0, 1, 2, 3]);
         let owned: Vec<usize> = m.into_iter_pairs().map(|(_, v)| v).collect();
-        assert_eq!(owned, order);
+        assert_eq!(owned, [0, 1, 2, 3]);
     }
 
     #[test]

@@ -31,7 +31,6 @@
 //! `edges()`. That is how SUBDUE reports instances in the caller's id
 //! space without a stored reverse map.
 
-use crate::fingerprint::vertex_fingerprint;
 use crate::graph::{ELabel, EdgeId, Graph, VLabel, VertexId};
 use crate::view::{GraphView, TxnSource};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,14 +38,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static FREEZE_COUNT: AtomicU64 = AtomicU64::new(0);
 static CSR_BYTES: AtomicU64 = AtomicU64::new(0);
 static ADJ_BINARY_SEARCHES: AtomicU64 = AtomicU64::new(0);
-static FINGERPRINT_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide frozen-graph counters, snapshotted by the CLI/bench
 /// layers into the `tnet-obs` registry as `graph.freeze_count`,
-/// `graph.csr_bytes`, `graph.adj_binary_searches`, and
-/// `graph.fingerprint_bytes`.
+/// `graph.csr_bytes` and `graph.adj_binary_searches`.
 ///
-/// All four are cumulative and deterministic for a fixed workload at any
+/// All three are cumulative and deterministic for a fixed workload at any
 /// thread count: the set of freezes and candidate queries a mining run
 /// performs does not depend on scheduling.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -57,9 +54,6 @@ pub struct FrozenStats {
     pub csr_bytes: u64,
     /// Label-directed candidate lookups answered by binary search.
     pub adj_binary_searches: u64,
-    /// Bytes of per-vertex fingerprint arrays precomputed by freezes
-    /// (see [`crate::fingerprint`]): 8 bytes per frozen vertex.
-    pub fingerprint_bytes: u64,
 }
 
 impl FrozenStats {
@@ -69,7 +63,6 @@ impl FrozenStats {
             freeze_count: FREEZE_COUNT.load(Ordering::Relaxed),
             csr_bytes: CSR_BYTES.load(Ordering::Relaxed),
             adj_binary_searches: ADJ_BINARY_SEARCHES.load(Ordering::Relaxed),
-            fingerprint_bytes: FINGERPRINT_BYTES.load(Ordering::Relaxed),
         }
     }
 
@@ -79,7 +72,6 @@ impl FrozenStats {
             freeze_count: self.freeze_count - earlier.freeze_count,
             csr_bytes: self.csr_bytes - earlier.csr_bytes,
             adj_binary_searches: self.adj_binary_searches - earlier.adj_binary_searches,
-            fingerprint_bytes: self.fingerprint_bytes - earlier.fingerprint_bytes,
         }
     }
 
@@ -90,7 +82,6 @@ impl FrozenStats {
         f("graph.freeze_count", self.freeze_count);
         f("graph.csr_bytes", self.csr_bytes);
         f("graph.adj_binary_searches", self.adj_binary_searches);
-        f("graph.fingerprint_bytes", self.fingerprint_bytes);
     }
 }
 
@@ -198,9 +189,6 @@ pub struct TxnSet {
     in_adj: Vec<EdgeId>,
     /// In adjacency sorted by `(ELabel, src VLabel, EdgeId)`.
     in_lab: Vec<EdgeId>,
-    /// Per-vertex structural fingerprints (see [`crate::fingerprint`]),
-    /// precomputed so the pre-VF2 filter is an array load.
-    fps: Vec<u64>,
     /// Where each transaction sits in the arrays above.
     txns: Vec<Span>,
 }
@@ -249,7 +237,6 @@ impl TxnSet {
             in_off: Vec::new(),
             in_adj: Vec::new(),
             in_lab: Vec::new(),
-            fps: Vec::new(),
             txns: Vec::new(),
         };
         let mut dense: Vec<u32> = Vec::new();
@@ -292,16 +279,10 @@ impl TxnSet {
                 &mut set.in_adj,
                 &mut set.in_lab,
             );
-            // From the builder, in live-id order: fingerprints read only
-            // labels and distinct neighbours, which renumbering keeps.
-            set.fps.reserve(n);
-            set.fps
-                .extend(g.vertices().map(|v| vertex_fingerprint(g, v)));
             FREEZE_COUNT.fetch_add(1, Ordering::Relaxed);
             // Three vertex arrays (labels, two offsets), seven edge
             // arrays (triple, two adjacency orders per direction).
             CSR_BYTES.fetch_add(4 * (3 * n + 7 * m) as u64, Ordering::Relaxed);
-            FINGERPRINT_BYTES.fetch_add(8 * n as u64, Ordering::Relaxed);
         }
         // Spans go last, in one exact allocation. A small block that
         // outlives the freeze but is allocated before its arrays lands
@@ -577,10 +558,6 @@ impl GraphView for TxnRef<'_> {
     fn is_simple(&self) -> bool {
         self.span.simple
     }
-
-    fn vertex_fp(&self, v: VertexId) -> u64 {
-        self.set.fps[self.gv(v)]
-    }
 }
 
 #[cfg(test)]
@@ -707,7 +684,6 @@ mod tests {
             assert_eq!(t.edge_count(), one.edge_count());
             for v in one.vertices() {
                 assert_eq!(t.vertex_label(v), one.vertex_label(v));
-                assert_eq!(t.vertex_fp(v), one.vertex_fp(v));
                 let a: Vec<EdgeId> = t.out_edges(v).collect();
                 let b: Vec<EdgeId> = one.out_edges(v).collect();
                 assert_eq!(a, b, "txn {i} out row of {v:?}");
@@ -757,10 +733,6 @@ mod tests {
         // Five vertices, five edges: 3 vertex arrays and 7 edge arrays.
         assert!(after.csr_bytes >= 4 * (3 * 5 + 7 * 5));
         assert!(after.adj_binary_searches >= 1);
-        assert!(
-            after.fingerprint_bytes >= 8 * 5,
-            "freeze must account its fingerprint array"
-        );
         let mut names = Vec::new();
         after.publish(&mut |name, _| names.push(name.to_string()));
         assert_eq!(
@@ -768,8 +740,7 @@ mod tests {
             [
                 "graph.freeze_count",
                 "graph.csr_bytes",
-                "graph.adj_binary_searches",
-                "graph.fingerprint_bytes"
+                "graph.adj_binary_searches"
             ]
         );
     }

@@ -100,10 +100,6 @@ pub struct GraphBuilder {
     edges: Vec<EdgeData>,
     live_vertices: usize,
     live_edges: usize,
-    /// Memoized Weisfeiler–Leman invariant hash (see `canon`). Cleared by
-    /// every mutation; carried across `clone()` so a pattern and its
-    /// stored copies hash at most once.
-    pub(crate) hash_cache: std::sync::OnceLock<u64>,
 }
 
 /// The builder arena under its historical name. Miners build and pass
@@ -124,14 +120,7 @@ impl GraphBuilder {
             edges: Vec::with_capacity(edges),
             live_vertices: 0,
             live_edges: 0,
-            hash_cache: std::sync::OnceLock::new(),
         }
-    }
-
-    /// Invalidates the memoized invariant hash. Every mutator calls this.
-    #[inline]
-    fn touch(&mut self) {
-        self.hash_cache.take();
     }
 
     /// Number of live vertices.
@@ -159,7 +148,6 @@ impl GraphBuilder {
 
     /// Adds a vertex with the given label and returns its id.
     pub fn add_vertex(&mut self, label: VLabel) -> VertexId {
-        self.touch();
         let id = VertexId(self.vertices.len() as u32);
         self.vertices.push(VertexData {
             label,
@@ -180,7 +168,6 @@ impl GraphBuilder {
     pub fn add_edge(&mut self, src: VertexId, dst: VertexId, label: ELabel) -> EdgeId {
         assert!(self.contains_vertex(src), "add_edge: dead src {src:?}");
         assert!(self.contains_vertex(dst), "add_edge: dead dst {dst:?}");
-        self.touch();
         let id = EdgeId(self.edges.len() as u32);
         self.edges.push(EdgeData {
             src,
@@ -220,7 +207,6 @@ impl GraphBuilder {
     /// Replaces the label of a live vertex.
     pub fn set_vertex_label(&mut self, v: VertexId, label: VLabel) {
         debug_assert!(self.contains_vertex(v));
-        self.touch();
         self.vertices[v.index()].label = label;
     }
 
@@ -316,7 +302,6 @@ impl GraphBuilder {
             if d.alive {
                 d.alive = false;
                 self.live_edges -= 1;
-                self.touch();
             }
         }
     }
@@ -332,7 +317,6 @@ impl GraphBuilder {
         }
         self.vertices[v.index()].alive = false;
         self.live_vertices -= 1;
-        self.touch();
     }
 
     /// Removes every live vertex with no live incident edges ("orphans",
@@ -343,9 +327,6 @@ impl GraphBuilder {
             .filter(|&v| self.incident_edges(v).next().is_none())
             .collect();
         let n = orphans.len();
-        if n > 0 {
-            self.touch();
-        }
         for v in orphans {
             self.vertices[v.index()].alive = false;
             self.live_vertices -= 1;
@@ -460,7 +441,6 @@ impl GraphBuilder {
     /// Sets every vertex label to `label` (the paper's §5 structural mode:
     /// "we assign all vertices the same label").
     pub fn uniform_vertex_labels(&mut self, label: VLabel) {
-        self.touch();
         for d in self.vertices.iter_mut().filter(|d| d.alive) {
             d.label = label;
         }

@@ -873,19 +873,13 @@ pub fn find_embeddings<G: GraphView>(pattern: &Graph, target: &G, mode: Find) ->
     Matcher::new(pattern).find(target, mode)
 }
 
-/// Exact isomorphism of two labeled directed multigraphs.
+/// Exact isomorphism of two labeled directed multigraphs, decided by the
+/// VF2 matcher: the oracle the canonical code is tested against. The
+/// miners key classes by [`crate::canon::CanonicalCode`] instead.
 pub fn are_isomorphic(a: &Graph, b: &Graph) -> bool {
-    if a.vertex_count() != b.vertex_count() || a.edge_count() != b.edge_count() {
-        return false;
-    }
-    // Mining patterns are tiny, dense (append-only construction), and
-    // compared millions of times inside iso-class buckets: take the lean
-    // array-indexed path whenever possible, the allocation-heavy general
-    // matcher otherwise.
-    if a.vertex_count() <= 16 && vertex_dense(a) && vertex_dense(b) {
-        return small_iso(a, b);
-    }
-    if a.vertex_label_histogram() != b.vertex_label_histogram()
+    if a.vertex_count() != b.vertex_count()
+        || a.edge_count() != b.edge_count()
+        || a.vertex_label_histogram() != b.vertex_label_histogram()
         || a.edge_label_histogram() != b.edge_label_histogram()
     {
         return false;
@@ -895,151 +889,6 @@ pub fn are_isomorphic(a: &Graph, b: &Graph) -> bool {
     // bijectivity too (each pair's multiplicity in b is >= that of a, and
     // totals agree).
     has_embedding(a, b)
-}
-
-/// True if the vertex arena has no tombstoned slots (ids run 0..count).
-fn vertex_dense(g: &Graph) -> bool {
-    g.vertices()
-        .last()
-        .is_none_or(|v| v.index() + 1 == g.vertex_count())
-}
-
-/// Exact-isomorphism backtracking specialized for small vertex-dense
-/// graphs: flat arrays instead of hash maps, vertices mapped in arena
-/// order. Requires equal vertex and edge counts (checked by the caller).
-///
-/// Per-vertex label/degree equality plus per-(pair, label) multiplicity
-/// coverage forces a full edge bijection: every `b` vertex is an image, so
-/// summed coverage equals both edge totals and no `b` edge is left over.
-fn small_iso(a: &Graph, b: &Graph) -> bool {
-    let n = a.vertex_count();
-    let la: Vec<u32> = (0..n)
-        .map(|i| a.vertex_label(VertexId(i as u32)).0)
-        .collect();
-    let lb: Vec<u32> = (0..n)
-        .map(|i| b.vertex_label(VertexId(i as u32)).0)
-        .collect();
-    {
-        let mut sa = la.clone();
-        let mut sb = lb.clone();
-        sa.sort_unstable();
-        sb.sort_unstable();
-        if sa != sb {
-            return false;
-        }
-    }
-    let ea: Vec<(usize, usize, u32)> = a
-        .edges()
-        .map(|e| {
-            let (s, d, l) = a.edge(e);
-            (s.index(), d.index(), l.0)
-        })
-        .collect();
-    let eb: Vec<(usize, usize, u32)> = b
-        .edges()
-        .map(|e| {
-            let (s, d, l) = b.edge(e);
-            (s.index(), d.index(), l.0)
-        })
-        .collect();
-    {
-        let mut sa: Vec<u32> = ea.iter().map(|t| t.2).collect();
-        let mut sb: Vec<u32> = eb.iter().map(|t| t.2).collect();
-        sa.sort_unstable();
-        sb.sort_unstable();
-        if sa != sb {
-            return false;
-        }
-    }
-    let mut outa = vec![0u16; n];
-    let mut ina = vec![0u16; n];
-    for &(s, d, _) in &ea {
-        outa[s] += 1;
-        ina[d] += 1;
-    }
-    let mut outb = vec![0u16; n];
-    let mut inb = vec![0u16; n];
-    for &(s, d, _) in &eb {
-        outb[s] += 1;
-        inb[d] += 1;
-    }
-    // Each `a` edge is registered at its higher-numbered endpoint, so the
-    // constraint fires as soon as both endpoints are mapped. Miner
-    // patterns (append-grown) and `edge_subgraph` outputs (first-
-    // appearance numbering) both attach every vertex after the first to
-    // an earlier one, so pruning bites at every depth.
-    let mut back: Vec<Vec<(usize, u32, bool)>> = vec![Vec::new(); n];
-    for &(s, d, l) in &ea {
-        if s >= d {
-            back[s].push((d, l, true));
-        } else {
-            back[d].push((s, l, false));
-        }
-    }
-
-    struct Ctx<'c> {
-        n: usize,
-        la: &'c [u32],
-        lb: &'c [u32],
-        outa: &'c [u16],
-        ina: &'c [u16],
-        outb: &'c [u16],
-        inb: &'c [u16],
-        back: &'c [Vec<(usize, u32, bool)>],
-        eb: &'c [(usize, usize, u32)],
-    }
-    fn rec(cx: &Ctx<'_>, i: usize, map: &mut [usize], used: &mut u32) -> bool {
-        if i == cx.n {
-            return true;
-        }
-        for m in 0..cx.n {
-            if *used & (1 << m) != 0
-                || cx.lb[m] != cx.la[i]
-                || cx.outb[m] != cx.outa[i]
-                || cx.inb[m] != cx.ina[i]
-            {
-                continue;
-            }
-            let ok = cx.back[i].iter().all(|&(j, l, out)| {
-                let mj = if j == i { m } else { map[j] };
-                let (bs, bd) = if out { (m, mj) } else { (mj, m) };
-                let need = cx.back[i]
-                    .iter()
-                    .filter(|&&(jj, ll, oo)| jj == j && ll == l && oo == out)
-                    .count();
-                let have = cx
-                    .eb
-                    .iter()
-                    .filter(|&&(s, d, l2)| s == bs && d == bd && l2 == l)
-                    .count();
-                have >= need
-            });
-            if !ok {
-                continue;
-            }
-            map[i] = m;
-            *used |= 1 << m;
-            if rec(cx, i + 1, map, used) {
-                return true;
-            }
-            *used &= !(1 << m);
-        }
-        false
-    }
-    let cx = Ctx {
-        n,
-        la: &la,
-        lb: &lb,
-        outa: &outa,
-        ina: &ina,
-        outb: &outb,
-        inb: &inb,
-        back: &back,
-        eb: &eb,
-    };
-    let mut map = vec![usize::MAX; n];
-    let mut used = 0u32;
-    rec(&cx, 0, &mut map, &mut used)
 }
 
 /// Greedily selects a maximal set of pairwise vertex-disjoint embeddings

@@ -1,10 +1,10 @@
 //! Read-only graph access shared by the builder and frozen snapshots.
 //!
 //! Every consumer downstream of construction — the VF2 matcher, embedding
-//! extension, WL hashing, SUBDUE's instance expansion — only *reads*
-//! structure. [`GraphView`] captures exactly that surface so one generic
-//! implementation serves the tombstone arena ([`Graph`]) and the frozen
-//! CSR form: per-transaction views ([`crate::frozen::TxnRef`]) into a
+//! extension, SUBDUE's instance expansion, vertex fingerprints — only
+//! *reads* structure. [`GraphView`] captures exactly that surface so one
+//! generic implementation serves the tombstone arena ([`Graph`]) and the
+//! frozen CSR form: per-transaction views ([`crate::frozen::TxnRef`]) into a
 //! packed [`crate::frozen::TxnSet`], which is also what a single frozen
 //! graph ([`crate::frozen::FrozenGraph::view`]) reads through.
 //!
@@ -19,7 +19,9 @@
 //! implementations linearly filter adjacency (what the arena can do), and
 //! the frozen form overrides them with binary searches over label-sorted
 //! adjacency. Both yield matches in ascending edge-id order, so swapping
-//! representations cannot change miner output.
+//! representations cannot change miner output. Vertex fingerprints are
+//! not a view method: [`crate::fingerprint::vertex_fingerprint`] computes
+//! them from this surface on demand, alike on every representation.
 
 use crate::graph::{ELabel, Graph, VLabel};
 use crate::graph::{EdgeId, VertexId};
@@ -162,16 +164,6 @@ pub trait GraphView {
     /// is always a correct answer.
     fn is_simple(&self) -> bool {
         false
-    }
-
-    /// Structural fingerprint of `v` (see [`crate::fingerprint`]): a
-    /// packed u64 of label blooms and unary degrees, checked with
-    /// [`crate::fingerprint::fp_subsumes`] before VF2. The default
-    /// computes from adjacency; the frozen form overrides with a load from
-    /// its freeze-time array. Both yield identical values for the same
-    /// graph, so filter decisions are representation-invariant.
-    fn vertex_fp(&self, v: VertexId) -> u64 {
-        crate::fingerprint::vertex_fingerprint(self, v)
     }
 
     /// Multiset of vertex labels with frequencies.
@@ -326,10 +318,6 @@ impl<T: GraphView + ?Sized> GraphView for &T {
 
     fn is_simple(&self) -> bool {
         (**self).is_simple()
-    }
-
-    fn vertex_fp(&self, v: VertexId) -> u64 {
-        (**self).vertex_fp(v)
     }
 }
 

@@ -9,7 +9,6 @@
 
 use std::collections::HashSet;
 use tnet_graph::canon::invariant_hash;
-use tnet_graph::fingerprint::graph_fingerprints;
 use tnet_graph::graph::{ELabel, EdgeId, Graph, VLabel, VertexId};
 use tnet_graph::iso::{are_isomorphic, find_embeddings, has_embedding, Find};
 use tnet_graph::rng::{Rng, SliceRandom, StdRng};
@@ -293,8 +292,6 @@ fn freeze_matches_compacted_clone() {
         let mut triples = HashSet::new();
         let simple = c.edges().all(|e| triples.insert(c.edge(e)));
         assert_eq!(t.is_simple(), simple, "case {i}");
-        let fps: Vec<u64> = tv.iter().map(|&v| t.vertex_fp(v)).collect();
-        assert_eq!(fps, graph_fingerprints(&c), "case {i}: fingerprints");
 
         tombstoned += usize::from(g.vertex_count() < vl.len() || g.edge_count() < es.len());
         looped += usize::from(c.edges().any(|e| c.edge_src(e) == c.edge_dst(e)));
